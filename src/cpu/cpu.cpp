@@ -42,12 +42,6 @@ bool ends_block(Op op) {
          op == Op::TRACE;
 }
 
-// Direct-mapped slot for the return-target cache. Multiplicative hash:
-// return addresses and gadget entries cluster on small strides.
-std::size_t rtc_slot(std::uint64_t addr) {
-  return static_cast<std::size_t>((addr * 0x9E3779B97F4A7C15ull) >> 58);
-}
-
 // Effective address of a lowered memory operand: the recipe was
 // classified (and any rip constant folded) at lower time, so this is a
 // 2-bit switch over pure adds -- no MemRef flag walking.

@@ -19,9 +19,10 @@
 // Two further layers sit on top (DESIGN.md §10):
 //  * threaded dispatch -- in the zero-hook stratum each block caches
 //    validated links to its successor blocks (fallthrough, direct
-//    branch taken/not-taken, indirect targets via a small return-target
-//    cache), so execution chains block-to-block without returning to
-//    the central hash-lookup fetch; a write-epoch or page-generation
+//    branch taken/not-taken, indirect targets via a return-target
+//    cache sized for ROP chains' gadget working sets), so execution
+//    chains block-to-block without returning to the central
+//    hash-lookup fetch; a write-epoch or page-generation
 //    mismatch unlinks and falls back to the central path. Any installed
 //    hook demotes dispatch to the central loop so per-dispatch and
 //    per-insn callbacks keep firing exactly as before.
@@ -364,7 +365,17 @@ class Cpu {
   std::unordered_map<std::uint64_t, AddrEntry> addr_index_;
   // Direct-mapped cache for indirect control transfers (RET above all:
   // ROP dispatch is a RET per gadget), keyed on the target address.
-  std::array<RtcEntry, 64> rtc_{};
+  // Sized for a ROP chain's gadget working set (DESIGN.md §10): at 64
+  // entries the clbg ROP builds missed on ~17% of dispatches, at 1024
+  // (~32 KB per Cpu) on ~1%.
+  static constexpr unsigned kRtcBits = 10;
+  // Multiplicative hash: return addresses and gadget entries cluster on
+  // small strides.
+  static std::size_t rtc_slot(std::uint64_t addr) {
+    return static_cast<std::size_t>((addr * 0x9E3779B97F4A7C15ull) >>
+                                    (64 - kRtcBits));
+  }
+  std::array<RtcEntry, std::size_t{1} << kRtcBits> rtc_{};
   // Locally packed trace segments (DESIGN.md §14). Segment lifetime is
   // bound to arena_: both are cleared only by invalidate_decode_cache,
   // so a block's arena annotation can never outlive its segment.

@@ -8,8 +8,9 @@
 
 namespace raindrop {
 
-// page_for (both overloads) is defined inline in the header: it sits on
-// the µop executor's store fast path.
+// page_for (both overloads) and page_gen are defined inline in the
+// header: they sit on the µop executor's load/store and block-validation
+// fast paths.
 
 std::uint8_t Memory::read_u8(std::uint64_t addr) const {
   const Page* p = page_for(addr);
@@ -22,16 +23,12 @@ void Memory::write_u8(std::uint64_t addr, std::uint8_t v) {
   ++p.gen;
 }
 
-std::uint32_t Memory::page_gen(std::uint64_t addr) const {
-  const Page* p = page_for(addr);
-  return p ? p->gen : 0;
-}
-
 std::uint64_t Memory::read(std::uint64_t addr, unsigned size) const {
   std::uint64_t off = addr & (kPageSize - 1);
   if (off + size <= kPageSize) {
-    // One page probe instead of one per byte -- this is the CPU's load,
-    // push/pop and RET-dispatch hot path.
+    // One page probe instead of one per byte. The CPU's lowered load,
+    // push/pop and RET paths use read_fixed instead; this serves the
+    // exec() reference switch, attacks and loaders.
     const Page* p = page_for(addr);
     if (!p) return 0;
     std::uint64_t v = 0;
@@ -176,6 +173,9 @@ void Memory::freeze() {
   static std::atomic<std::uint64_t> next_id{1};
   snapshot_id_ = next_id.fetch_add(1, std::memory_order_relaxed);
   frozen_ = true;
+  // Frozen snapshots may be read from several threads; an empty TLB that
+  // is never filled again keeps those reads free of shared writes.
+  tlb_.clear();
 }
 
 }  // namespace raindrop

@@ -81,7 +81,10 @@ class Memory {
   // clones (generations are copied at clone time and only move
   // forward). Two *sibling* clones can reach equal generations with
   // different bytes, so caches must never migrate between siblings.
-  std::uint32_t page_gen(std::uint64_t addr) const;
+  std::uint32_t page_gen(std::uint64_t addr) const {
+    const Page* p = page_for(addr);
+    return p ? p->gen : 0;
+  }
 
   // Monotonic counter bumped every time *any* page generation moves (and
   // on region appends). Cheap global "has anything changed since?" probe:
@@ -131,32 +134,96 @@ class Memory {
     std::uint32_t gen = 0;  // see page_gen()
   };
 
-  // Sole mutation gateway: every write path lands here exactly once per
-  // page generation bump, so the global write epoch is bumped in
-  // lockstep with the per-page generations (write_epoch() doc above).
-  // Inline: this sits on the µop store fast path.
+  using PageSlot = std::shared_ptr<Page>;
+
+  // Direct-mapped page translation cache in front of pages_: page key ->
+  // pointer to that key's pages_ slot (unordered_map nodes never move).
+  // A copy starts empty and a move empties its source, so Memory keeps
+  // defaulted special members and never reaches another Memory's slots.
+  class PageTlb {
+   public:
+    static constexpr std::size_t kEntries = 64;
+
+    PageTlb() = default;
+    PageTlb(const PageTlb&) noexcept {}
+    PageTlb(PageTlb&& o) noexcept { o.clear(); }
+    PageTlb& operator=(const PageTlb&) noexcept {
+      clear();
+      return *this;
+    }
+    PageTlb& operator=(PageTlb&& o) noexcept {
+      clear();
+      o.clear();
+      return *this;
+    }
+
+    // The cached slot for `key`, or null on a miss.
+    PageSlot* find(std::uint64_t key) const {
+      const Entry& e = entries_[key % kEntries];
+      return e.key == key ? e.slot : nullptr;
+    }
+    void fill(std::uint64_t key, PageSlot* slot) {
+      entries_[key % kEntries] = Entry{key, slot};
+    }
+    void clear() { entries_.fill(Entry{}); }
+
+   private:
+    struct Entry {
+      // No page key reaches ~0 (keys are addresses >> kPageBits).
+      std::uint64_t key = ~std::uint64_t{0};
+      PageSlot* slot = nullptr;
+    };
+    std::array<Entry, kEntries> entries_{};
+  };
+
+  // Page translation for every access; both overloads go through tlb_.
+  // TLB contract: a copy, clone or moved-from Memory starts with an empty
+  // TLB; the write path's copy-on-write swaps the page inside the cached
+  // slot, so the entry stays exact; a frozen snapshot never fills its TLB
+  // (freeze() clears it), because frozen snapshots are the one Memory
+  // read from several threads at once; misses are never cached, so a
+  // page created later is found by the next probe. A cached slot pointer
+  // is valid until its entry is erased, and pages are never erased -- if
+  // an erase is ever added, it must clear tlb_.
+  //
+  // The mutable overload is the sole mutation gateway: every write path
+  // lands here exactly once per page generation bump, so the global write
+  // epoch is bumped in lockstep with the per-page generations
+  // (write_epoch() doc above). Inline: this sits on the µop store fast
+  // path.
   Page& page_for(std::uint64_t addr) {
     if (frozen_)
       throw std::logic_error("raindrop::Memory: write to frozen snapshot");
     ++write_epoch_;
     std::uint64_t key = addr >> kPageBits;
-    auto it = pages_.find(key);
-    if (it == pages_.end()) {
-      it = pages_.emplace(key, std::make_shared<Page>()).first;
-    } else if (it->second.use_count() > 1) {
+    PageSlot* slot = tlb_.find(key);
+    if (slot == nullptr) [[unlikely]] {
+      slot = &pages_.try_emplace(key).first->second;
+      if (*slot == nullptr) *slot = std::make_shared<Page>();
+      tlb_.fill(key, slot);
+    }
+    if (slot->use_count() > 1) [[unlikely]] {
       // Copy-on-write: pages are shared between cloned memories (attack
       // engines fork states constantly; deep copies would dominate
       // runtime).
-      it->second = std::make_shared<Page>(*it->second);
+      *slot = std::make_shared<Page>(**slot);
     }
-    return *it->second;
+    return **slot;
   }
   const Page* page_for(std::uint64_t addr) const {
-    auto it = pages_.find(addr >> kPageBits);
-    return it == pages_.end() ? nullptr : it->second.get();
+    std::uint64_t key = addr >> kPageBits;
+    if (PageSlot* slot = tlb_.find(key)) [[likely]]
+      return slot->get();
+    auto it = pages_.find(key);
+    if (it == pages_.end()) return nullptr;
+    // The slot is only ever written through by the mutable overload,
+    // which needs a non-const Memory.
+    if (!frozen_) tlb_.fill(key, const_cast<PageSlot*>(&it->second));
+    return it->second.get();
   }
 
-  std::unordered_map<std::uint64_t, std::shared_ptr<Page>> pages_;
+  std::unordered_map<std::uint64_t, PageSlot> pages_;
+  mutable PageTlb tlb_;
   std::vector<Region> regions_;
   // Region indices ordered by start address. Regions are append-only and
   // in practice disjoint, so containment lookups binary-search this index

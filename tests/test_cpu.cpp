@@ -761,6 +761,52 @@ TEST(Cpu, ChainedAndCentralDispatchIdentical) {
   }
 }
 
+// The return-target cache must hold a ROP chain's whole gadget working
+// set (DESIGN.md §10). A chain cycles over 256 distinct ret-terminated
+// gadgets plus a `pop rsp; ret` rewind gadget; once the first lap has
+// filled the cache, every later RET must chain through it, so the
+// central fetch count stays where the first lap left it. A 64-entry
+// cache thrashes here: most RETs of every lap go back to the central
+// fetch.
+TEST(Cpu, ReturnTargetCacheHoldsRopWorkingSet) {
+  constexpr int kGadgets = 256;
+  constexpr std::uint64_t kChain = 0x80000;
+  Machine m;
+  std::vector<isa::Insn> code;
+  std::vector<std::uint64_t> chain;
+  std::uint64_t at = kCode;
+  auto gadget = [&](std::vector<isa::Insn> body) {
+    chain.push_back(at);
+    body.push_back(ib::ret());
+    for (const auto& i : body) {
+      at += isa::encoded_length(i);
+      code.push_back(i);
+    }
+  };
+  for (int g = 0; g < kGadgets; ++g) gadget({ib::inc(Reg::RAX)});
+  std::uint64_t rewind = at;
+  gadget({ib::pop(Reg::RSP)});
+  chain.push_back(kChain);  // popped by the rewind gadget
+  m.load(code);
+  for (std::size_t i = 0; i < chain.size(); ++i)
+    m.mem.write_u64(kChain + 8 * i, chain[i]);
+
+  // Enter through the rewind gadget: its pop lands rsp on the chain.
+  m.mem.write_u64(kStack, kChain);
+  m.cpu.set_rip(rewind);
+  constexpr std::uint64_t kLapInsns = 2 * (kGadgets + 1);
+  EXPECT_EQ(m.run(2 * kLapInsns), CpuStatus::kBudgetExceeded);
+  EXPECT_EQ(m.r(Reg::RAX), 2u * kGadgets);
+  std::uint64_t warm = m.cpu.cache_stats().central_dispatches;
+  EXPECT_GE(warm, static_cast<std::uint64_t>(kGadgets));
+
+  // One run() call re-enters through one central fetch; nothing else may
+  // leave the chained path.
+  EXPECT_EQ(m.run(8 * kLapInsns), CpuStatus::kBudgetExceeded);
+  EXPECT_EQ(m.r(Reg::RAX), 10u * kGadgets);
+  EXPECT_LE(m.cpu.cache_stats().central_dispatches, warm + 1);
+}
+
 // ---------------------------------------------------------------------------
 // Differential fuzz for the pre-lowered µop executor (DESIGN.md §11):
 // seeded random programs spanning every opcode and operand shape --
@@ -1033,9 +1079,21 @@ std::vector<std::uint8_t> make_fuzz_program(std::uint64_t seed) {
 
 enum class FuzzMode { kLowered, kChainedUnlowered, kCentral, kImported };
 
+// Reads one word of every page the fuzz setup seeded, filling the
+// Memory's page TLB.
+void warm_fuzz_pages(const Memory& m) {
+  for (std::uint64_t a : {kFuzzCode, kFuzzCode + Memory::kPageSize, kFuzzPad,
+                          kFuzzData, kFuzzStack})
+    (void)m.read_u64(a);
+}
+
+// With `warm_clone`, the run executes on a clone of a TLB-warmed Memory
+// that stays alive (frozen first for kImported), so every store goes
+// through a cached TLB slot whose page is still shared copy-on-write
+// with the source -- which must come out of the run untouched.
 FuzzOutcome run_fuzz(const std::vector<std::uint8_t>& bytes,
                      std::uint64_t seed, FuzzMode mode,
-                     std::uint64_t budget = 2000) {
+                     std::uint64_t budget = 2000, bool warm_clone = false) {
   Memory proto;
   proto.map_region(0, 1 << 20, kPermRWX, "all");
   proto.write_bytes(kFuzzCode, bytes);
@@ -1050,6 +1108,7 @@ FuzzOutcome run_fuzz(const std::vector<std::uint8_t>& bytes,
 
   std::shared_ptr<const CodeCache> cache;
   Memory mem;
+  if (warm_clone) warm_fuzz_pages(proto);
   if (mode == FuzzMode::kImported) {
     proto.freeze();
     std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges{
@@ -1057,8 +1116,15 @@ FuzzOutcome run_fuzz(const std::vector<std::uint8_t>& bytes,
         {kFuzzPad, kFuzzPad + pad.size()}};
     cache = build_code_cache(proto, ranges);
     mem = proto.clone();
+  } else if (warm_clone) {
+    mem = proto.clone();
   } else {
     mem = std::move(proto);
+  }
+  std::vector<std::uint8_t> proto_data;
+  if (warm_clone) {
+    warm_fuzz_pages(mem);
+    proto_data = proto.read_bytes(kFuzzData, 0x1000);
   }
   Cpu cpu(&mem);
   if (cache) EXPECT_TRUE(cpu.import_cache(cache));
@@ -1079,6 +1145,10 @@ FuzzOutcome run_fuzz(const std::vector<std::uint8_t>& bytes,
   out.insns = cpu.insn_count();
   out.probes = cpu.trace_probes();
   if (cpu.fault()) out.fault_reason = cpu.fault()->reason;
+  if (warm_clone) {
+    EXPECT_EQ(proto.read_bytes(kFuzzCode, bytes.size()), bytes);
+    EXPECT_EQ(proto.read_bytes(kFuzzData, 0x1000), proto_data);
+  }
   return out;
 }
 
@@ -1096,6 +1166,15 @@ TEST(Cpu, LoweredDifferentialFuzz) {
       // rebuilds locally).
       FuzzOutcome imported = run_fuzz(bytes, seed, FuzzMode::kImported);
       EXPECT_EQ(lowered, imported) << "seed " << seed;
+    }
+    if (seed % 4 == 1) {
+      // The same program on a clone of a TLB-warmed Memory: cached page
+      // translations must follow every copy-on-write swap.
+      for (FuzzMode mode :
+           {FuzzMode::kLowered, FuzzMode::kCentral, FuzzMode::kImported})
+        EXPECT_EQ(lowered, run_fuzz(bytes, seed, mode, 2000, true))
+            << "seed " << seed << " warm clone, mode "
+            << static_cast<int>(mode);
     }
   }
 }

@@ -84,6 +84,172 @@ TEST(Memory, PageGenerationsAreCowIsolated) {
   EXPECT_EQ(a.page_gen(0x100), ga);  // the source is untouched
 }
 
+// Page-TLB coherence. Each test warms the TLB (reads and writes through
+// every page it later touches) before acting. The 64 test pages have
+// consecutive page keys, so all of them stay TLB-resident at once: every
+// later access is a hit on a slot cached before the act under test.
+constexpr std::uint64_t kTlbPages = 64;
+
+std::uint64_t tlb_addr(std::uint64_t page) {
+  return 0x400000 + page * Memory::kPageSize + 8 * (page % 16);
+}
+
+void warm_tlb(Memory& m, std::uint64_t base_value) {
+  for (std::uint64_t p = 0; p < kTlbPages; ++p)
+    m.write_u64(tlb_addr(p), base_value + p);
+  for (std::uint64_t p = 0; p < kTlbPages; ++p)
+    ASSERT_EQ(m.read_u64(tlb_addr(p)), base_value + p) << p;
+}
+
+void expect_pages(const Memory& m, std::uint64_t base_value) {
+  for (std::uint64_t p = 0; p < kTlbPages; ++p)
+    EXPECT_EQ(m.read_u64(tlb_addr(p)), base_value + p) << p;
+}
+
+TEST(Memory, TlbCloneIsolationBothWays) {
+  Memory a;
+  warm_tlb(a, 1000);
+  Memory b = a.clone();
+  expect_pages(b, 1000);  // warms b over pages still shared with a
+  warm_tlb(b, 2000);      // every write must copy-on-write away from a
+  expect_pages(a, 1000);
+  warm_tlb(a, 3000);  // a's cached slots now hold pages shared with no one
+  expect_pages(b, 2000);
+  expect_pages(a, 3000);
+  // A second clone re-shares a's pages under a's warm TLB.
+  Memory c = a.clone();
+  a.write_fixed<8>(tlb_addr(7), 1);
+  a.write_u8(tlb_addr(8), 2);
+  EXPECT_EQ(c.read_u64(tlb_addr(7)), 3007u);
+  EXPECT_EQ(c.read_u8(tlb_addr(8)), 3008u & 0xff);
+  c.write_u64(tlb_addr(9), 3);
+  EXPECT_EQ(a.read_u64(tlb_addr(9)), 3009u);
+}
+
+TEST(Memory, TlbCopyAssignOntoWarmedMemory) {
+  Memory src;
+  warm_tlb(src, 100);
+  Memory dst;
+  warm_tlb(dst, 500);  // same page keys: dst's slots cache its own pages
+  dst = src;
+  expect_pages(dst, 100);
+  dst.write_u64(tlb_addr(3), 42);
+  EXPECT_EQ(src.read_u64(tlb_addr(3)), 103u);
+  EXPECT_EQ(dst.read_u64(tlb_addr(3)), 42u);
+  Memory& alias = dst;
+  dst = alias;  // self-assignment keeps the contents
+  EXPECT_EQ(dst.read_u64(tlb_addr(3)), 42u);
+  expect_pages(src, 100);
+}
+
+TEST(Memory, TlbMovedFromMemoryAssignedAndReused) {
+  Memory a;
+  warm_tlb(a, 10);
+  Memory b = std::move(a);
+  expect_pages(b, 10);
+  a = Memory{};  // reuse the moved-from object
+  for (std::uint64_t p = 0; p < kTlbPages; ++p)
+    EXPECT_EQ(a.read_u64(tlb_addr(p)), 0u) << p;
+  warm_tlb(a, 20);
+  expect_pages(b, 10);
+
+  Memory c;
+  warm_tlb(c, 30);
+  c = std::move(b);  // move-assign onto a warmed Memory
+  expect_pages(c, 10);
+  b = c.clone();
+  warm_tlb(b, 40);
+  expect_pages(c, 10);
+  expect_pages(a, 20);
+}
+
+TEST(Memory, TlbPageCreatedAfterCachedMiss) {
+  Memory m;
+  // Page keys k and k + 64 share a direct-mapped TLB slot.
+  std::uint64_t hit = 0x7000, alias = hit + 64 * Memory::kPageSize;
+  m.write_u64(hit, 5);
+  EXPECT_EQ(m.read_u64(hit), 5u);
+  const Memory& cm = m;
+  EXPECT_EQ(cm.read_u64(alias), 0u);  // miss on an unmapped page
+  EXPECT_EQ(cm.page_gen(alias), 0u);
+  m.write_u64(alias, 6);  // creates the page
+  EXPECT_EQ(cm.read_u64(alias), 6u);
+  EXPECT_GT(cm.page_gen(alias), 0u);
+  EXPECT_EQ(cm.read_u64(hit), 5u);
+  // The same through write_bytes and a miss in the other direction.
+  std::uint64_t fresh = alias + 64 * Memory::kPageSize;
+  EXPECT_EQ(cm.read_u8(fresh), 0u);
+  std::vector<std::uint8_t> blob{1, 2, 3};
+  m.write_bytes(fresh, blob);
+  EXPECT_EQ(cm.read_bytes(fresh, 3), blob);
+  EXPECT_EQ(cm.read_u64(alias), 6u);
+}
+
+TEST(Memory, TlbPageGenAndWriteEpochAdvanceThroughHits) {
+  Memory m;
+  warm_tlb(m, 0);
+  std::uint64_t addr = tlb_addr(11);
+  auto step = [&](auto&& write, const char* what) {
+    std::uint32_t g = m.page_gen(addr);
+    std::uint64_t e = m.write_epoch();
+    write();
+    EXPECT_GT(m.page_gen(addr), g) << what;
+    EXPECT_GT(m.write_epoch(), e) << what;
+  };
+  step([&] { m.write_u8(addr, 1); }, "write_u8");
+  step([&] { m.write(addr, 2, 4); }, "write");
+  step([&] { m.write_fixed<8>(addr, 3); }, "write_fixed");
+  std::vector<std::uint8_t> blob(16, 4);
+  step([&] { m.write_bytes(addr, blob); }, "write_bytes");
+  // Through a copy-on-write swap: the source's generation moves, the
+  // clone keeps the snapshot it copied.
+  Memory c = m.clone();
+  std::uint32_t shared = c.page_gen(addr);
+  step([&] { m.write_u64(addr, 5); }, "cow write");
+  EXPECT_EQ(c.page_gen(addr), shared);
+  EXPECT_EQ(c.read_u8(addr), 4u);
+  // Reads never move either counter.
+  std::uint32_t g = m.page_gen(addr);
+  std::uint64_t e = m.write_epoch();
+  (void)m.read_u64(addr);
+  EXPECT_EQ(m.page_gen(addr), g);
+  EXPECT_EQ(m.write_epoch(), e);
+}
+
+TEST(Memory, TlbFrozenSnapshotReadByThreadsWhileClonesWrite) {
+  // Twice the TLB's reach: page p and page p + 64 share a slot, so
+  // every snapshot read below misses and would refill a shared slot if
+  // a frozen Memory filled its TLB (a data race the sanitizers flag).
+  constexpr std::uint64_t kPages = 2 * kTlbPages;
+  Memory snap;
+  for (std::uint64_t p = 0; p < kPages; ++p)
+    snap.write_u64(tlb_addr(p), 7000 + p);
+  for (std::uint64_t p = 0; p < kPages; ++p)
+    ASSERT_EQ(snap.read_u64(tlb_addr(p)), 7000 + p);
+  snap.freeze();  // the TLB is warm when the snapshot freezes
+  constexpr int kThreads = 4;
+  std::atomic<int> bad{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 20; ++round) {
+        Memory mine = snap.clone();
+        std::uint64_t base = 100000u * (t + 1) + round;
+        for (std::uint64_t p = 0; p < kPages; ++p) {
+          if (snap.read_u64(tlb_addr(p)) != 7000 + p) ++bad;
+          mine.write_u64(tlb_addr(p), base + p);
+          if (snap.read_u64(tlb_addr(p)) != 7000 + p) ++bad;
+        }
+        for (std::uint64_t p = 0; p < kPages; ++p)
+          if (mine.read_u64(tlb_addr(p)) != base + p) ++bad;
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(bad.load(), 0);
+  expect_pages(snap, 7000);
+}
+
 TEST(ThreadPool, SingleThreadRunsInlineWithoutWorkers) {
   ThreadPool tp(1);
   EXPECT_EQ(tp.thread_count(), 0);  // no workers spawned, no churn
