@@ -184,10 +184,9 @@ struct CpuProbe {
   double arena_resident_share = 0.0;
 };
 
-// Which executor stratum the probe pins (bench_micro's strata
-// comparison): the lowered µop fast path (the default), the
-// chained-but-unlowered reference, or the central fetch loop.
-enum class Dispatch { kLowered, kChainedUnlowered, kCentral };
+// Which executor the probe pins (bench_micro's comparison): the lowered
+// µop fast path (the default) or the reference central fetch loop.
+enum class Dispatch { kLowered, kCentral };
 
 inline CpuProbe cpu_probe(std::uint64_t loop_iters = 200'000,
                           HookSet hooks = {},
@@ -196,7 +195,6 @@ inline CpuProbe cpu_probe(std::uint64_t loop_iters = 200'000,
   Memory mem = load_counted_loop(cl);
   Cpu cpu(&mem);
   cpu.set_hooks(std::move(hooks));
-  if (dispatch == Dispatch::kChainedUnlowered) cpu.set_lowered_dispatch(false);
   if (dispatch == Dispatch::kCentral) cpu.set_threaded_dispatch(false);
   cpu.set_rip(0x1000);
   Stopwatch watch;

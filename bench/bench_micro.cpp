@@ -101,18 +101,14 @@ void BM_CpuDispatchStrata(benchmark::State& state) {
 }
 BENCHMARK(BM_CpuDispatchStrata)->Arg(0)->Arg(1)->Arg(2);
 
-// Executor strata within the zero-hook path (DESIGN.md §11): the
-// pre-lowered µop fast path vs the chained-but-unlowered reference vs
-// the central fetch loop, on the same warm counted loop. The spread
-// between 0 and 1 is the lowering win alone; between 1 and 2, the
-// chaining win.
+// The zero-hook executor (DESIGN.md §11) against its reference: the
+// chained, pre-lowered µop fast path (0) vs the central fetch loop (1),
+// on the same warm counted loop.
 void BM_CpuLowered(benchmark::State& state) {
-  int mode = static_cast<int>(state.range(0));  // see Dispatch
   CountedLoop loop = make_counted_loop(1000);
   Memory mem = load_counted_loop(loop);
   Cpu cpu(&mem);
-  if (mode == 1) cpu.set_lowered_dispatch(false);
-  if (mode == 2) cpu.set_threaded_dispatch(false);
+  if (state.range(0) == 1) cpu.set_threaded_dispatch(false);
   std::uint64_t insns = 0;
   for (auto _ : state) {
     std::uint64_t before = cpu.insn_count();
@@ -128,7 +124,7 @@ void BM_CpuLowered(benchmark::State& state) {
   state.counters["chain_hits"] =
       benchmark::Counter(static_cast<double>(cs.chain_hits));
 }
-BENCHMARK(BM_CpuLowered)->Arg(0)->Arg(1)->Arg(2);
+BENCHMARK(BM_CpuLowered)->Arg(0)->Arg(1);
 
 void BM_RewriteFunction(benchmark::State& state) {
   auto rf = target();
@@ -214,11 +210,10 @@ int main(int argc, char** argv) {
   json.metric("cpu_zero_hook_minsns_per_s", zero_hook_m);
   json.metric("cpu_minsns_per_s", zero_hook_m);
   json.metric("cpu_chain_hit_rate", zero_hook.chain_hit_rate);
-  // Executor strata (DESIGN.md §11): the default zero-hook probe runs
-  // the lowered µop path; the two reference strata below isolate the
-  // lowering win (lowered vs chained-unlowered) from the chaining win
-  // (chained-unlowered vs central). The lowered keys are gated by the
-  // Release CI job alongside cpu_minsns_per_s.
+  // Executors (DESIGN.md §11): the default zero-hook probe runs the
+  // lowered µop path; the central-loop reference below measures its
+  // win. The lowered keys are gated by the Release CI job alongside
+  // cpu_minsns_per_s.
   json.metric("cpu_lowered_minsns_per_s", zero_hook_m);
   json.metric("cpu_lowered_dispatch_share", zero_hook.lowered_share);
   // Trace-arena residency and macro-op fusion coverage (DESIGN.md §14);
@@ -226,9 +221,6 @@ int main(int argc, char** argv) {
   json.metric("cpu_fused_share", zero_hook.fused_share);
   json.metric("cpu_arena_resident_share", zero_hook.arena_resident_share);
   {
-    CpuProbe unlowered = cpu_probe(200'000, {}, Dispatch::kChainedUnlowered);
-    json.metric("cpu_chained_unlowered_minsns_per_s",
-                unlowered.insns_per_s / 1e6);
     CpuProbe central = cpu_probe(200'000, {}, Dispatch::kCentral);
     json.metric("cpu_central_minsns_per_s", central.insns_per_s / 1e6);
   }

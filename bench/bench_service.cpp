@@ -14,21 +14,13 @@
 //     clients (repeats are served from the analysis/harvest/craft
 //     memos) and pipelines craft / resolve / materialize across jobs on
 //     its stage workers.
-//   * pipeline depth 2 vs 3: a doubled traffic mix streamed cold
-//     through the legacy two-stage (craft/commit) topology and the
-//     three-stage topology, five interleaved runs each summed -- the
-//     §9 depth win as a number. The win comes from overlapping the
-//     serial materialize with parallel resolve and client submission
-//     work, so it tracks physical cores; on a one-core host the two
-//     depths tie (ratio ~1.0), exactly like the craft speedup.
 //
 // Every pass produces byte-identical images per job (checked, reported
 // as `deterministic`); the deltas are wall-clock only. Emits
-// `stream_modules_per_s`, `stream_vs_seq_cold`,
-// `pipeline3_vs_pipeline2`, per-stage busy seconds and queue occupancy
-// peaks; the Release CI job gates the throughput against the committed
-// baseline and `pipeline3_vs_pipeline2` / `deterministic` against
-// absolute floors (tools/bench_report.py --check-min).
+// `stream_modules_per_s`, `stream_vs_seq_cold`, per-stage busy seconds
+// and queue occupancy peaks; the Release CI job gates the throughput
+// against the committed baseline and `deterministic` against an
+// absolute floor (tools/bench_report.py --check-min).
 #include <cstdio>
 #include <vector>
 
@@ -70,16 +62,14 @@ struct StreamedRun {
   engine::ObfuscationService::Stats stats;
 };
 
-// Streams the whole traffic mix through one service at the given
-// pipeline depth against the given (shared) cache; all jobs submitted
-// up front, one session each. The client thread compiles each module
-// inside the timed loop, like the sequential baseline does -- real
-// front-door clients do work between submits, and overlapping it is
-// part of what the pipeline buys.
-StreamedRun run_streamed(const std::vector<JobSpec>& jobs, int stages,
-                         int threads, int shards,
-                         std::shared_ptr<analysis::AnalysisCache> cache,
-                         std::size_t craft_queue_depth = 16) {
+// Streams the whole traffic mix through one service against the given
+// (shared) cache; all jobs submitted up front, one session each. The
+// client thread compiles each module inside the timed loop, like the
+// sequential baseline does -- real front-door clients do work between
+// submits, and overlapping it is part of what the pipeline buys.
+StreamedRun run_streamed(const std::vector<JobSpec>& jobs, int threads,
+                         int shards,
+                         std::shared_ptr<analysis::AnalysisCache> cache) {
   StreamedRun out;
   out.imgs.resize(jobs.size());
   Stopwatch watch;
@@ -87,8 +77,6 @@ StreamedRun run_streamed(const std::vector<JobSpec>& jobs, int stages,
     engine::ServiceConfig sc;
     sc.craft_threads = threads;
     sc.commit_shards = shards;
-    sc.pipeline_stages = stages;
-    sc.craft_queue_depth = craft_queue_depth;
     sc.cache = std::move(cache);
     engine::ObfuscationService service(sc);
     std::vector<engine::JobHandle> handles;
@@ -111,14 +99,12 @@ StreamedRun run_streamed(const std::vector<JobSpec>& jobs, int stages,
   return out;
 }
 
-// Every streamed image must equal its sequential twin; a traffic mix
-// that repeats the job list (the depth comparison) wraps around the
-// reference, since a repeat is the same (module, config, seed) job.
+// Every streamed image must equal its sequential twin.
 bool images_match(const std::vector<Image>& ref,
                   const std::vector<Image>& got) {
   for (std::size_t j = 0; j < got.size(); ++j)
     for (const char* sec : {".ropdata", ".text", ".data"})
-      if (ref[j % ref.size()].section_bytes(sec) != got[j].section_bytes(sec))
+      if (ref[j].section_bytes(sec) != got[j].section_bytes(sec))
         return false;
   return true;
 }
@@ -172,15 +158,15 @@ int main() {
   std::printf("sequential (cold engine per job): %6.3fs  (%zu rewrites)\n",
               seq_s, seq_ok);
 
-  // -- Streamed: one 3-stage service, one session per job --------------
+  // -- Streamed: one service, one session per job ----------------------
   // The service's shared cache outlives the service so its counters --
   // the cross-client reuse that drives the streaming win -- can be
   // reported below (the process-wide cache is untouched by this bench).
   auto svc_cache = std::make_shared<analysis::AnalysisCache>();
-  StreamedRun stream = run_streamed(jobs, 3, threads, shards, svc_cache);
+  StreamedRun stream = run_streamed(jobs, threads, shards, svc_cache);
 
   // Byte identity: a streamed job must equal its standalone twin.
-  bool identical =
+  const bool identical =
       stream.ok == seq_ok && images_match(seq_imgs, stream.imgs);
 
   const double seq_rate = seq_s > 0 ? jobs.size() / seq_s : 0.0;
@@ -194,47 +180,11 @@ int main() {
               seq_rate, stream_rate, speedup, stream.stats.overlap_ratio(),
               identical ? "yes" : "NO");
 
-  // -- Pipeline depth: the same traffic, cold, at depth 2 and 3 --------
-  // Fresh private cache per run so the comparison isolates the stage
-  // topology (not cache warmth). Front-door geometry: a bounded
-  // admission window (the §9 default posture) and craft fan-out at
-  // half the bench width, leaving the serial materialize lane headroom
-  // -- pipeline depth pays exactly when stage concurrency exceeds what
-  // one fused commit worker can use. The traffic mix is doubled and
-  // five interleaved runs per depth are summed, so the gated ratio is
-  // a mean over ~10x the smoke workload rather than one noisy sample.
-  // The §9 gate: depth 3 must not lose to depth 2 (its win comes from
-  // overlapping serial materialize with parallel resolve and client
-  // submission work, and scales with cores; on one core the two tie).
-  std::vector<JobSpec> depth_jobs = jobs;
-  depth_jobs.insert(depth_jobs.end(), jobs.begin(), jobs.end());
-  const int depth_threads = std::max(1, threads / 2);
-  double p2_s = 0.0, p3_s = 0.0;
-  for (int attempt = 0; attempt < 5; ++attempt) {
-    StreamedRun p2 = run_streamed(depth_jobs, 2, depth_threads, shards,
-                                  std::make_shared<analysis::AnalysisCache>(),
-                                  4);
-    identical = identical && images_match(seq_imgs, p2.imgs);
-    p2_s += p2.wall_s;
-    StreamedRun p3 = run_streamed(depth_jobs, 3, depth_threads, shards,
-                                  std::make_shared<analysis::AnalysisCache>(),
-                                  4);
-    identical = identical && images_match(seq_imgs, p3.imgs);
-    p3_s += p3.wall_s;
-  }
-  const double depth_ratio = p3_s > 0 ? p2_s / p3_s : 0.0;
-  std::printf("pipeline depth (cold, 5-run sum): 2-stage %6.3fs   3-stage "
-              "%6.3fs   3-vs-2: %.3fx\n",
-              p2_s, p3_s, depth_ratio);
-
   json.metric("seq_cold_s", seq_s);
   json.metric("stream_s", stream.wall_s);
   json.metric("seq_modules_per_s", seq_rate);
   json.metric("stream_modules_per_s", stream_rate);
   json.metric("stream_vs_seq_cold", speedup);
-  json.metric("pipeline2_s", p2_s);
-  json.metric("pipeline3_s", p3_s);
-  json.metric("pipeline3_vs_pipeline2", depth_ratio);
   // Per-stage busy seconds, queue occupancy peaks and admission
   // outcomes of the main streamed pass (DESIGN.md §9).
   emit_service_stats(json, stream.stats);

@@ -352,12 +352,12 @@ CpuStatus Cpu::run_blocks(std::uint64_t end) {
   // as if the block were re-fetched per instruction).
   while (insn_count_ < end) {
     if (threaded_dispatch_ && hooks_.empty()) {
-      // Zero-hook stratum: hand the whole run to the chained dispatcher.
-      // Nothing can install a hook mid-run when none is installed, so
-      // this never needs to fall back (it returns only on
+      // Zero-hook stratum: hand the whole run to the lowered µop
+      // executor. Nothing can install a hook mid-run when none is
+      // installed, so this never needs to fall back (it returns only on
       // halt/fault/budget). Any installed hook demotes dispatch to this
       // central loop so per-dispatch/per-insn callbacks keep firing.
-      return run_chained(end);
+      return run_lowered(end);
     }
     DecodedBlock* b = nullptr;
     std::uint32_t idx = 0;
@@ -403,133 +403,6 @@ CpuStatus Cpu::run_blocks(std::uint64_t end) {
   return CpuStatus::kBudgetExceeded;
 }
 
-CpuStatus Cpu::run_chained(std::uint64_t end) {
-  // The zero-hook stratum normally runs the pre-lowered µop executor;
-  // this function is the reference-shaped chained loop it demotes to
-  // when lowering is disabled (the strata bench isolates the lowering
-  // win this way).
-  if (lowered_dispatch_) return run_lowered(end);
-  // Threaded dispatch (DESIGN.md §10): after a block completes, follow
-  // its cached successor link (or the return-target cache for indirect
-  // transfers) instead of returning to the central hash-lookup fetch. A
-  // link is trusted outright when the Memory write epoch is unchanged
-  // since it was last validated -- no write anywhere implies no page
-  // generation moved -- and revalidated against the target's page
-  // generations otherwise. Link targets live in the never-freed arena,
-  // so a stale pointer is safe to dereference and self-invalidating.
-  // Architecturally this is the exact central-loop execution: same
-  // per-instruction budget check, same mid-block revalidation after
-  // memory writes, and every link was established by a central fetch
-  // that performed the NX check (X coverage is monotonic: regions are
-  // append-only and their permissions never change).
-  DecodedBlock* b = nullptr;
-  std::uint32_t idx = 0;
-  DecodedBlock::Link* memo = nullptr;  // link to backfill after a fetch
-  RtcEntry* rtc_memo = nullptr;
-  for (;;) {
-    if (b == nullptr) {
-      // Budget check precedes the fetch, exactly like the central
-      // loop's while condition: an exhausted run must pause, not fault
-      // on whatever rip_ points at.
-      if (insn_count_ >= end) return CpuStatus::kBudgetExceeded;
-      std::uint64_t at = rip_;
-      CpuStatus st = fetch_block(&b, &idx);
-      if (st != CpuStatus::kRunning) return st;
-      ++stats_.central_dispatches;
-      std::uint64_t ep = mem_->write_epoch();
-      if (memo != nullptr) {
-        *memo = DecodedBlock::Link{b, idx, ep};
-      } else if (rtc_memo != nullptr) {
-        *rtc_memo = RtcEntry{at, b, idx, ep};
-      }
-    }
-    memo = nullptr;
-    rtc_memo = nullptr;
-    ++stats_.dispatches;
-    // Execute the block body through the exec() reference switch. The
-    // executor stops with *smashed set when an in-block code write
-    // invalidated the block (resume centrally at rip_; no block-end
-    // link is involved).
-    bool smashed = false;
-    CpuStatus st = exec_block_insns(*b, idx, end, &smashed);
-    if (st != CpuStatus::kRunning) return st;
-    if (smashed) {
-      b = nullptr;
-      idx = 0;
-      continue;
-    }
-    // Block completed; rip_ names the successor. The pre-classified
-    // terminator decides which link slot covers this transition (direct
-    // targets are fixed per block, so slot identity implies the
-    // address).
-    DecodedBlock::Link* slot = nullptr;
-    switch (b->term) {
-      case DecodedBlock::kTermTaken:
-        slot = &b->taken;
-        break;
-      case DecodedBlock::kTermCond:
-        slot = rip_ == b->start + b->byte_len ? &b->fall : &b->taken;
-        break;
-      case DecodedBlock::kTermIndirect:
-        slot = nullptr;  // indirect: return-target cache below
-        break;
-      default:  // kTermFall: TRACE cut or size-cap split
-        slot = &b->fall;
-        break;
-    }
-    std::uint64_t ep = mem_->write_epoch();
-    if (slot != nullptr) {
-      DecodedBlock* t = slot->target;
-      if (t != nullptr && (slot->epoch == ep || block_valid(*t))) {
-        slot->epoch = ep;
-        ++stats_.chain_hits;
-        b = t;
-        idx = slot->index;
-        continue;
-      }
-      slot->target = nullptr;
-      memo = slot;  // refill from the central fetch below
-      b = nullptr;
-      idx = 0;
-      continue;
-    }
-    RtcEntry& e = rtc_[rtc_slot(rip_)];
-    if (e.block != nullptr && e.addr == rip_ &&
-        (e.epoch == ep || block_valid(*e.block))) {
-      e.epoch = ep;
-      ++stats_.chain_hits;
-      b = e.block;
-      idx = e.index;
-      continue;
-    }
-    rtc_memo = &e;
-    b = nullptr;
-    idx = 0;
-  }
-}
-
-CpuStatus Cpu::exec_block_insns(DecodedBlock& b, std::uint32_t idx,
-                                std::uint64_t end, bool* smashed) {
-  // Reference-shaped chained block body: per-instruction budget check,
-  // exec() switch, mid-block revalidation after memory writes. This is
-  // the PR 6 inner loop, kept verbatim so set_lowered_dispatch(false)
-  // measures chaining without lowering.
-  const std::size_t n = b.insns.size();
-  for (; idx < n; ++idx) {
-    if (insn_count_ >= end) return CpuStatus::kBudgetExceeded;
-    const BlockInsn& bi = b.insns[idx];
-    ++insn_count_;
-    std::uint64_t fallthrough = rip_ + bi.length;
-    CpuStatus st = exec(bi.insn, fallthrough);
-    if (st != CpuStatus::kRunning) return st;
-    if (bi.writes_mem && !block_valid(b)) {
-      *smashed = true;
-      return CpuStatus::kRunning;
-    }
-  }
-  return CpuStatus::kRunning;
-}
-
 // Shared head of every fused macro-op case in run_lowered. It must run
 // before the case's own state mutation (seam revalidation and the
 // consumer budget check are demotion triggers), and the demotion target
@@ -566,11 +439,11 @@ DecodedBlock* Cpu::seam_target(DecodedBlock& b, const isa::MicroOp& u) {
 
 CpuStatus Cpu::run_lowered(std::uint64_t end) {
   // The zero-hook stratum's whole execution loop: central fetch,
-  // successor-link chaining (the exact logic of run_chained) and a
-  // dense dispatch over each block's pre-lowered µop stream
-  // (DESIGN.md §11), all in one frame so a chained block transition is
-  // a couple of loads and a goto -- no call boundary, no re-derived
-  // operand kinds, no MemRef flag walking.
+  // successor-link chaining (block_done below) and a dense dispatch
+  // over each block's pre-lowered µop stream (DESIGN.md §11), all in
+  // one frame so a chained block transition is a couple of loads and a
+  // goto -- no call boundary, no re-derived operand kinds, no MemRef
+  // flag walking.
   //
   // Unlike exec(), rip_ is NOT maintained per instruction -- each µop
   // carries its absolute fallthrough address, so rip_ is materialized
@@ -1228,10 +1101,18 @@ CpuStatus Cpu::run_lowered(std::uint64_t end) {
   }
 
   block_done: {
-    // Successor chaining, identical in policy to run_chained: dedicated
-    // fall/taken links for direct terminators, the return-target cache
-    // for indirect ones; a link is trusted without revalidation when its
-    // epoch matches the current write epoch.
+    // Threaded dispatch (DESIGN.md §10): follow the block's cached
+    // successor link -- dedicated fall/taken links for direct
+    // terminators, the return-target cache for indirect ones -- instead
+    // of returning to the central hash-lookup fetch. A link is trusted
+    // outright when the Memory write epoch is unchanged since it was
+    // last validated (no write anywhere implies no page generation
+    // moved) and revalidated against the target's page generations
+    // otherwise. Link targets live in the never-freed arena, so a stale
+    // pointer is safe to dereference and self-invalidating, and every
+    // link was established by a central fetch that performed the NX
+    // check (X coverage is monotonic: regions are append-only and their
+    // permissions never change).
     DecodedBlock::Link* slot = nullptr;
     switch (b->term) {
       case DecodedBlock::kTermTaken:

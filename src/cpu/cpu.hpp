@@ -224,19 +224,13 @@ class Cpu {
     enforce_nx_ = on;
   }
 
-  // Threaded dispatch toggle (on by default). Off forces every block
-  // transition through the central fetch loop -- the reference path the
-  // equivalence tests compare against.
+  // Threaded dispatch toggle (on by default). On, the zero-hook
+  // stratum runs the chained, pre-lowered µop executor; off forces
+  // every block transition through the central fetch loop, which runs
+  // each instruction through the exec() reference switch -- the
+  // reference the lowered path's differential tests compare against.
   void set_threaded_dispatch(bool on) { threaded_dispatch_ = on; }
   bool threaded_dispatch() const { return threaded_dispatch_; }
-
-  // Lowered-dispatch toggle (on by default). Only meaningful inside the
-  // zero-hook chained dispatcher: on, blocks execute their pre-lowered
-  // µop stream; off, the same chained dispatch runs each BlockInsn
-  // through the exec() reference switch (the strata-comparison bench
-  // uses this to isolate the lowering win from block chaining).
-  void set_lowered_dispatch(bool on) { lowered_dispatch_ = on; }
-  bool lowered_dispatch() const { return lowered_dispatch_; }
 
   // Adopts a shared read-only CodeCache built over a frozen Memory
   // snapshot. Returns false (and imports nothing) unless this Cpu's
@@ -312,7 +306,6 @@ class Cpu {
   DecodedBlock* insert_block(DecodedBlock&& b);
   void discard_block(std::uint64_t block_start);
   CpuStatus run_blocks(std::uint64_t end_count);
-  CpuStatus run_chained(std::uint64_t end_count);
   // Zero-hook chained dispatch over the pre-lowered µop streams: the
   // whole fetch/chain/execute loop in one frame, so block-to-block
   // transitions never leave the executor (DESIGN.md §11).
@@ -326,14 +319,6 @@ class Cpu {
   // Returns the consumer (refreshing the link epoch) or nullptr to
   // demote this dispatch to the unfused reference stream.
   DecodedBlock* seam_target(DecodedBlock& b, const isa::MicroOp& u);
-  // One chained block dispatch through the exec() reference switch,
-  // starting at instruction `idx` (the set_lowered_dispatch(false)
-  // body). Returns kRunning when the block completed (rip_ names the
-  // successor) or, with *smashed set, when a mid-block code write
-  // invalidated the block (rip_ names the next instruction); any other
-  // status is a halt/fault/budget exit.
-  CpuStatus exec_block_insns(DecodedBlock& b, std::uint32_t idx,
-                             std::uint64_t end_count, bool* smashed);
 
   Memory* mem_;
   std::array<std::uint64_t, isa::kNumRegs> regs_{};
@@ -345,7 +330,6 @@ class Cpu {
   HookSet hooks_;
   bool enforce_nx_ = true;
   bool threaded_dispatch_ = true;
-  bool lowered_dispatch_ = true;
   // Block storage. Nodes live in arena_ and are never destroyed before
   // invalidate_decode_cache() -- a discarded (stale) block merely drops
   // out of blocks_/addr_index_. That makes every successor-link and

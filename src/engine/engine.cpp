@@ -751,12 +751,6 @@ ModuleResult ObfuscationEngine::materialize_module(ResolvedModule&& rm) {
   return out;
 }
 
-ModuleResult ObfuscationEngine::commit_module(CraftedModule&& cm, int threads,
-                                              int shards, ThreadPool* pool) {
-  return materialize_module(resolve_module(std::move(cm), threads, shards,
-                                           pool));
-}
-
 std::uint64_t ObfuscationEngine::module_key(
     const std::vector<std::string>& names) const {
   std::vector<std::uint8_t> blob = img_->serialize();
@@ -783,7 +777,9 @@ ModuleResult ObfuscationEngine::obfuscate_module(
     const std::vector<std::string>& names, int threads, int shards) {
   std::shared_ptr<store::ArtifactStore> st =
       (module_record_eligible_ && cache_) ? cache_->store() : nullptr;
-  if (!st) return commit_module(craft_module(names, threads), threads, shards);
+  if (!st)
+    return materialize_module(
+        resolve_module(craft_module(names, threads), threads, shards));
 
   const std::uint64_t mkey = module_key(names);
   const std::uint64_t evictions_before = st->stats().corrupt_evictions;
@@ -801,8 +797,8 @@ ModuleResult ObfuscationEngine::obfuscate_module(
     out.store_hit_rate = 1.0;
     return out;
   }
-  ModuleResult out = commit_module(craft_module(names, threads), threads,
-                                   shards);
+  ModuleResult out = materialize_module(
+      resolve_module(craft_module(names, threads), threads, shards));
   if (!out.rejected && !out.cancelled) {
     store::put_module(*st, mkey, *img_);
     ++out.store_misses;

@@ -30,10 +30,9 @@
 // ObfuscationService (service.hpp) can run a three-deep pipeline: craft
 // of module N+2 overlaps the parallel resolve of module N+1 and the
 // serial-per-image materialize of module N on a shared ThreadPool
-// (DESIGN.md §9). commit_module() is resolve + materialize back to
-// back; obfuscate_module() is all three stages -- there is exactly one
-// execution path whether a module is streamed through the service or
-// rewritten standalone.
+// (DESIGN.md §9). obfuscate_module() is all three stages back to
+// back -- there is exactly one execution path whether a module is
+// streamed through the service or rewritten standalone.
 #pragma once
 
 #include <cstdint>
@@ -194,10 +193,10 @@ struct ModuleResult {
 
 // The product of pipeline stage 1 for a whole batch: every function
 // crafted, nothing committed. Produced by craft_module() and consumed
-// exactly once by commit_module(); the ObfuscationService carries one
-// of these between its craft and commit pipeline stages. The scheduler
-// telemetry fields are filled by the service and flow into the
-// ModuleResult commit_module() returns.
+// exactly once by resolve_module(); the ObfuscationService carries one
+// of these between its craft and resolve pipeline stages. The scheduler
+// telemetry fields are filled by the service and flow through the
+// ResolvedModule into the ModuleResult materialize_module() returns.
 struct CraftedModule {
   std::vector<std::string> names;
   std::vector<CraftedFunction> crafted;  // parallel to names
@@ -257,8 +256,9 @@ class ObfuscationEngine {
   // threads and phase-2a request resolution on `shards` core-key shards
   // (<= 0: one shard per thread). Output images and stats are
   // bit-identical for every (threads, shards) combination. A thin facade
-  // over the two pipeline stages below (craft_module + commit_module),
-  // which is the same path the streaming ObfuscationService drives.
+  // over the three pipeline stages below (craft_module, resolve_module,
+  // materialize_module), which is the same path the streaming
+  // ObfuscationService drives.
   ModuleResult obfuscate_module(const std::vector<std::string>& names,
                                 int threads = 1, int shards = 0);
 
@@ -289,11 +289,6 @@ class ObfuscationEngine {
   // gadgets appended in batch order, then the whole batch staged as one
   // deferred image commit. Consumes the ResolvedModule.
   ModuleResult materialize_module(ResolvedModule&& rm);
-
-  // Stages 2a+2b back to back: the two-stage facade the synchronous
-  // path and the depth-2 service pipeline drive.
-  ModuleResult commit_module(CraftedModule&& cm, int threads = 1,
-                             int shards = 0, ThreadPool* pool = nullptr);
 
   // Single-function convenience (a 1-element batch); the facade the
   // legacy Rewriter API forwards to.

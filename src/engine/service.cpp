@@ -46,7 +46,7 @@ struct ServiceJob {
   std::vector<std::string> names;
   std::weak_ptr<JobHandle::State> state;
   CraftedModule cm;    // filled by the craft stage
-  ResolvedModule rm;   // filled by the resolve stage (depth 3)
+  ResolvedModule rm;   // filled by the resolve stage
   double submit_t = 0.0;
   double craft_start_t = 0.0;
   double craft_end_t = 0.0;
@@ -65,15 +65,13 @@ ObfuscationService::ObfuscationService(ServiceConfig cfg)
                         ? analysis::AnalysisCache::process_cache()
                         : std::make_shared<analysis::AnalysisCache>())),
       pool_(std::max(1, cfg_.craft_threads)) {
-  if (cfg_.pipeline_stages != 2) cfg_.pipeline_stages = 3;
   // Disk tier (DESIGN.md §13): attach once; an explicit cache that
   // already carries a store keeps it (the caller wired its own tier).
   if (!cfg_.store_dir.empty() && !cache_->store())
     cache_->attach_store(
         std::make_shared<store::ArtifactStore>(cfg_.store_dir));
   crafter_ = std::thread([this] { craft_loop(); });
-  if (cfg_.pipeline_stages == 3)
-    resolver_ = std::thread([this] { resolve_loop(); });
+  resolver_ = std::thread([this] { resolve_loop(); });
   materializer_ = std::thread([this] { materialize_loop(); });
   if (cfg_.watchdog_deadline_s > 0.0)
     watchdog_ = std::thread([this] { watchdog_loop(); });
@@ -381,27 +379,17 @@ void ObfuscationService::craft_loop() {
         commit_busy_at(job->craft_end_t) - commit_busy0;
     job->cm.sessions_in_flight = in_flight;
     stats_.overlap_seconds += job->cm.overlap_seconds;
-    // Hand off downstream (resolve at depth 3, the fused commit stage
-    // at depth 2) through a bounded queue: a full queue parks the craft
-    // worker, which in turn fills the craft queue -- backpressure
-    // propagates to submit().
-    std::deque<std::shared_ptr<ServiceJob>>& q =
-        cfg_.pipeline_stages == 3 ? resolve_q_ : mat_q_;
-    std::condition_variable& space =
-        cfg_.pipeline_stages == 3 ? resolve_space_ : mat_space_;
-    space.wait(lk, [&] {
-      return cfg_.stage_queue_depth == 0 || q.size() < cfg_.stage_queue_depth;
+    // Hand off to resolve through a bounded queue: a full queue parks
+    // the craft worker, which in turn fills the craft queue --
+    // backpressure propagates to submit().
+    resolve_space_.wait(lk, [this] {
+      return cfg_.stage_queue_depth == 0 ||
+             resolve_q_.size() < cfg_.stage_queue_depth;
     });
-    q.push_back(std::move(job));
-    if (cfg_.pipeline_stages == 3) {
-      stats_.resolve_queue_peak =
-          std::max(stats_.resolve_queue_peak, resolve_q_.size());
-      resolve_ready_.notify_one();
-    } else {
-      stats_.materialize_queue_peak =
-          std::max(stats_.materialize_queue_peak, mat_q_.size());
-      mat_ready_.notify_one();
-    }
+    resolve_q_.push_back(std::move(job));
+    stats_.resolve_queue_peak =
+        std::max(stats_.resolve_queue_peak, resolve_q_.size());
+    resolve_ready_.notify_one();
   }
 }
 
@@ -489,104 +477,45 @@ void ObfuscationService::materialize_loop() {
     std::shared_ptr<ServiceJob> job = std::move(mat_q_.front());
     mat_q_.pop_front();
     mat_space_.notify_one();
-    ModuleResult result;
-    std::optional<ObfError> err;
+    // The job entered resolve; it always materializes, even if every
+    // handle was dropped meanwhile -- gadgets were planned against
+    // engine state and the plan must land to keep the session's FIFO
+    // image evolution deterministic.
+    const double t0 = wall_.seconds();
+    mat_active_since_ = t0;
+    downstream_begin(t0);
+    lk.unlock();
     int attempts = 0;
-    if (cfg_.pipeline_stages == 3) {
-      // The job entered resolve; it always materializes, even if every
-      // handle was dropped meanwhile -- gadgets were planned against
-      // engine state and the plan must land to keep the session's FIFO
-      // image evolution deterministic.
-      const double t0 = wall_.seconds();
-      mat_active_since_ = t0;
-      downstream_begin(t0);
-      lk.unlock();
-      err = stage_gate("materialize", "service.materialize.pre",
-                       job->session->config().seed, &attempts);
-      if (!err) {
-        probe("materialize");
-        try {
-          result =
-              job->session->engine_.materialize_module(std::move(job->rm));
-        } catch (const fault::FaultInjected& e) {
-          err = stage_error(ObfError::Kind::kFaultInjected, "materialize",
-                            /*retryable=*/false, attempts + 1, e.what());
-        } catch (const std::exception& e) {
-          err = stage_error(ObfError::Kind::kStageFailure, "materialize",
-                            /*retryable=*/false, attempts + 1, e.what());
-        } catch (...) {
-          err = stage_error(ObfError::Kind::kInternal, "materialize",
-                            /*retryable=*/false, attempts + 1,
-                            "unknown exception in materialize");
-        }
+    std::optional<ObfError> err =
+        stage_gate("materialize", "service.materialize.pre",
+                   job->session->config().seed, &attempts);
+    ModuleResult result;
+    if (!err) {
+      probe("materialize");
+      try {
+        result = job->session->engine_.materialize_module(std::move(job->rm));
+      } catch (const fault::FaultInjected& e) {
+        err = stage_error(ObfError::Kind::kFaultInjected, "materialize",
+                          /*retryable=*/false, attempts + 1, e.what());
+      } catch (const std::exception& e) {
+        err = stage_error(ObfError::Kind::kStageFailure, "materialize",
+                          /*retryable=*/false, attempts + 1, e.what());
+      } catch (...) {
+        err = stage_error(ObfError::Kind::kInternal, "materialize",
+                          /*retryable=*/false, attempts + 1,
+                          "unknown exception in materialize");
       }
-      lk.lock();
-      const double t1 = wall_.seconds();
-      mat_active_since_ = -1.0;
-      stats_.materialize_busy_seconds += t1 - t0;
-      downstream_end(t1);
-      job->retries += attempts;
-      stats_.stage_retries += static_cast<std::size_t>(attempts);
-      if (err) {
-        quarantine_locked(*job, std::move(*err));
-        continue;
-      }
-    } else {
-      // Depth-2 topology: this worker is the fused commit stage. The
-      // cancellation point is the same contract -- before resolve.
-      if (job->state.expired()) {
-        ModuleResult r;
-        r.cancelled = true;
-        finish_locked(*job, std::move(r), Outcome::kCancelled);
-        continue;
-      }
-      // No mat_active_since_ marker here: the in-flight interval is
-      // fused resolve+materialize and its split is unknown until the
-      // engine reports it, so live stats() snapshots carry it only in
-      // commit_busy_seconds (the downstream union) and the per-stage
-      // split updates at job completion.
-      const double t0 = wall_.seconds();
-      downstream_begin(t0);
-      lk.unlock();
-      err = stage_gate("commit", "service.materialize.pre",
-                       job->session->config().seed, &attempts);
-      if (!err) {
-        probe("commit");
-        try {
-          result = job->session->engine_.commit_module(
-              std::move(job->cm), cfg_.craft_threads, cfg_.commit_shards,
-              &pool_);
-        } catch (const fault::FaultInjected& e) {
-          err = stage_error(ObfError::Kind::kFaultInjected, "commit",
-                            /*retryable=*/false, attempts + 1, e.what());
-        } catch (const std::exception& e) {
-          err = stage_error(ObfError::Kind::kStageFailure, "commit",
-                            /*retryable=*/false, attempts + 1, e.what());
-        } catch (...) {
-          err = stage_error(ObfError::Kind::kInternal, "commit",
-                            /*retryable=*/false, attempts + 1,
-                            "unknown exception in commit");
-        }
-      }
-      lk.lock();
-      const double t1 = wall_.seconds();
-      // Attribute the fused stage's wall time to its halves using the
-      // engine's own split, scaled to the measured interval.
-      const double dt = t1 - t0;
-      const double engine_split =
-          result.resolve_seconds + result.materialize_seconds;
-      const double rs = engine_split > 0.0
-                            ? dt * result.resolve_seconds / engine_split
-                            : 0.0;
-      stats_.resolve_busy_seconds += rs;
-      stats_.materialize_busy_seconds += dt - rs;
-      downstream_end(t1);
-      job->retries += attempts;
-      stats_.stage_retries += static_cast<std::size_t>(attempts);
-      if (err) {
-        quarantine_locked(*job, std::move(*err));
-        continue;
-      }
+    }
+    lk.lock();
+    const double t1 = wall_.seconds();
+    mat_active_since_ = -1.0;
+    stats_.materialize_busy_seconds += t1 - t0;
+    downstream_end(t1);
+    job->retries += attempts;
+    stats_.stage_retries += static_cast<std::size_t>(attempts);
+    if (err) {
+      quarantine_locked(*job, std::move(*err));
+      continue;
     }
     finish_locked(*job, std::move(result), Outcome::kCompleted);
   }

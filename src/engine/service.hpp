@@ -14,9 +14,7 @@
 //     (DESIGN.md §9): a craft worker, a resolve worker and a
 //     materialize worker each drain their own bounded queue, so module
 //     N+2's craft overlaps module N+1's parallel resolve and module N's
-//     serial-per-image materialize. pipeline_stages = 2 selects the
-//     legacy craft/commit topology (resolve + materialize fused on one
-//     worker) so the depth win stays a measured quantity.
+//     serial-per-image materialize.
 //
 // Admission control: the craft queue is bounded (craft_queue_depth) and
 // every session has an in-flight quota (session_quota). A full queue or
@@ -32,7 +30,7 @@
 // its previous job materialized), so a streamed module is
 // byte-identical to standalone obfuscate_module() runs with the same
 // batches and seed -- the pipeline moves wall-clock, never bytes, at
-// every (threads, shards, sessions, queue-depth, stages) combination
+// every (threads, shards, sessions, queue-depth) combination
 // (tests/test_service.cpp).
 //
 // Telemetry: every ModuleResult carries queue_seconds / overlap_seconds
@@ -67,10 +65,6 @@ struct ServiceConfig {
   int craft_threads = 1;
   // Phase-2a shard count for every job (<= 0: one per craft thread).
   int commit_shards = 0;
-  // Pipeline depth: 3 (default) runs craft / resolve / materialize on
-  // three stage workers; 2 fuses resolve+materialize on one commit
-  // worker (the pre-§9 topology, kept selectable for measurement).
-  int pipeline_stages = 3;
   // Bound on jobs admitted but not yet crafting (craft queue plus
   // session backlogs). 0 = unbounded. When full, submit() follows
   // `submit_policy`.
@@ -121,10 +115,10 @@ struct ServiceConfig {
   // never silently attaches to unrelated engines.
   std::string store_dir;
   // Test/observability probe: called unlocked on a stage worker just
-  // before it runs a job's stage work ("craft", "resolve",
-  // "materialize", or "commit" for the fused depth-2 stage). A blocking
-  // probe stalls that stage -- the backpressure and cancellation tests
-  // hold the pipeline in a known state this way.
+  // before it runs a job's stage work ("craft", "resolve" or
+  // "materialize"). A blocking probe stalls that stage -- the
+  // backpressure and cancellation tests hold the pipeline in a known
+  // state this way.
   std::function<void(const char* stage)> stage_probe;
 };
 
@@ -189,10 +183,7 @@ class ObfuscationService {
     std::size_t peak_sessions_in_flight = 0;
     // Per-stage busy times. commit_busy_seconds is the UNION busy time
     // of the resolve and materialize stages (the "downstream" of
-    // craft), which is what overlap_seconds is measured against; in a
-    // depth-2 service it is simply the fused commit stage's busy time,
-    // and the resolve/materialize split (attributed pro-rata from the
-    // engine's own stage timings) updates only at job completion.
+    // craft), which is what overlap_seconds is measured against.
     double craft_busy_seconds = 0.0;
     double resolve_busy_seconds = 0.0;
     double materialize_busy_seconds = 0.0;
@@ -223,7 +214,6 @@ class ObfuscationService {
   }
   int craft_threads() const { return cfg_.craft_threads; }
   int commit_shards() const { return cfg_.commit_shards; }
-  int pipeline_stages() const { return cfg_.pipeline_stages; }
 
  private:
   friend class Session;

@@ -5,16 +5,16 @@
 // the image.
 //
 // A Session owned by an ObfuscationService streams its jobs through the
-// service's two-stage craft/commit pipeline: phase 1 (craft) of one
-// job can overlap phase 2 (commit) of another session's job, while a
+// service's three-stage craft/resolve/materialize pipeline: one job's
+// craft can overlap another session's resolve and materialize, while a
 // single session's jobs always run strictly FIFO -- job K+1's prealloc
-// must observe the image exactly as job K's commit left it, which is
-// also what makes a streamed module byte-identical to standalone
+// must observe the image exactly as job K's materialize left it, which
+// is also what makes a streamed module byte-identical to standalone
 // obfuscate_module() calls with the same batches and seed.
 //
 // A standalone Session (constructed directly, no service) is the
-// synchronous facade: submit() runs the same two pipeline stages back
-// to back on the calling thread and returns an already-ready handle.
+// synchronous facade: submit() runs the same pipeline stages back to
+// back on the calling thread and returns an already-ready handle.
 #pragma once
 
 #include <atomic>
@@ -80,7 +80,7 @@ class Session : public std::enable_shared_from_this<Session> {
   // handle. Results are delivered per session in submission order.
   JobHandle submit(std::vector<std::string> names);
 
-  // The synchronous path: both pipeline stages back to back -- exactly
+  // The synchronous path: every pipeline stage back to back -- exactly
   // ObfuscationEngine::obfuscate_module. Mutually serialized (concurrent
   // callers queue on an internal mutex), but must not be mixed with
   // in-flight pipeline jobs of the same session -- use submit() there.

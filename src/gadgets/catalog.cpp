@@ -394,12 +394,6 @@ std::vector<std::uint64_t> GadgetPool::commit_plan(ResolvedPlan&& plan) {
   return std::move(p.addrs);
 }
 
-std::vector<std::uint64_t> GadgetPool::resolve_batch(
-    std::span<const GadgetRequest* const> reqs, int shards, int threads,
-    ThreadPool* pool) {
-  return commit_plan(plan_batch(reqs, shards, threads, pool));
-}
-
 // -- Plan disk tier (DESIGN.md §13) -------------------------------------
 
 std::uint64_t GadgetPool::plan_key(

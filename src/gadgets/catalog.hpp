@@ -67,10 +67,10 @@ struct HarvestLayer {
 
 // A deferred gadget demand recorded by the pure craft phase (which runs
 // against a frozen pool and cannot synthesize). The engine resolves
-// whole batches through resolve_batch(): requests are sharded by core
-// key and resolved in parallel, then merged in global request order, so
-// new-gadget addresses are assigned deterministically no matter how many
-// threads crafted or how many shards resolved.
+// whole batches through plan_batch() + commit_plan(): requests are
+// sharded by core key and planned in parallel, then merged in global
+// request order, so new-gadget addresses are assigned deterministically
+// no matter how many threads crafted or how many shards resolved.
 struct GadgetRequest {
   std::vector<isa::Insn> core;
   bool jop = false;
@@ -133,9 +133,9 @@ class GadgetPool {
   // craft phase; frozen, the pool is a read-only catalog safe to share
   // across threads (want()/resolve() assert; find_variant()/
   // random_gadget_addr() are the concurrent-reader surface).
-  // resolve_batch() then plans against the still-frozen catalog in
-  // parallel and unfreezes only for its serial merge, leaving the pool
-  // unfrozen for the next batch.
+  // plan_batch() then plans against the still-frozen catalog in
+  // parallel, and commit_plan() unfreezes it for the serial merge,
+  // leaving the pool unfrozen for the next batch.
   void freeze() { frozen_ = true; }
   void unfreeze() { frozen_ = false; }
   bool frozen() const { return frozen_; }
@@ -150,34 +150,30 @@ class GadgetPool {
                                             RegSet allowed_clobbers,
                                             Rng& rng) const;
 
-  // Commit-phase resolution of a deferred-request batch. Requests are
-  // partitioned by core-key hash into `shards` groups; same-key requests
-  // always share a shard, so variant-bank growth is shard-local and the
-  // plan phase parallelises across `threads` without synchronization.
-  // Every random decision draws from a counter-based per-request stream,
-  // and planned gadgets are appended to the image in global request
-  // order at merge, so the resolved addresses -- and therefore the
-  // committed image -- are bit-identical for every (shards, threads)
-  // combination, including the serial reference (1, 1). May reuse a
-  // gadget synthesized for an earlier request in this or any previous
-  // batch (cross-function reuse: Table III's B << A). The plan phase
-  // runs on `pool` when given (the service's shared workers; `threads`
-  // is then ignored), else on a private `threads`-wide pool.
-  std::vector<std::uint64_t> resolve_batch(
-      std::span<const GadgetRequest* const> reqs, int shards, int threads,
-      ThreadPool* pool = nullptr);
-
-  // The two halves of resolve_batch as first-class pipeline stages
-  // (DESIGN.md §9). plan_batch is the parallel half: it freezes the
-  // catalog (idempotent when the engine already froze it for craft),
-  // plans every request against the frozen banks, and returns a
-  // persistent ResolvedPlan without touching the image -- the catalog
-  // stays frozen so further plans/crafts may read it. commit_plan is
-  // the serial half: it appends the planned gadgets to the image in
-  // global request order, registers them, unfreezes the pool, and
-  // returns the final per-request address table. Exactly one
-  // commit_plan must follow each plan_batch (on the same pool, in plan
-  // order); resolve_batch() is the back-to-back composition.
+  // Commit-phase resolution of a deferred-request batch, as two
+  // pipeline stages (DESIGN.md §9). Requests are partitioned by
+  // core-key hash into `shards` groups; same-key requests always share
+  // a shard, so variant-bank growth is shard-local and the plan phase
+  // parallelises across `threads` without synchronization. Every random
+  // decision draws from a counter-based per-request stream, and planned
+  // gadgets are appended to the image in global request order at merge,
+  // so the resolved addresses -- and therefore the committed image --
+  // are bit-identical for every (shards, threads) combination,
+  // including the serial reference (1, 1). May reuse a gadget
+  // synthesized for an earlier request in this or any previous batch
+  // (cross-function reuse: Table III's B << A). The plan phase runs on
+  // `pool` when given (the service's shared workers; `threads` is then
+  // ignored), else on a private `threads`-wide pool.
+  //
+  // plan_batch is the parallel half: it freezes the catalog (idempotent
+  // when the engine already froze it for craft), plans every request
+  // against the frozen banks, and returns a persistent ResolvedPlan
+  // without touching the image -- the catalog stays frozen so further
+  // plans/crafts may read it. commit_plan is the serial half: it
+  // appends the planned gadgets to the image in global request order,
+  // registers them, unfreezes the pool, and returns the final
+  // per-request address table. Exactly one commit_plan must follow each
+  // plan_batch (on the same pool, in plan order).
   ResolvedPlan plan_batch(std::span<const GadgetRequest* const> reqs,
                           int shards, int threads, ThreadPool* pool = nullptr);
   std::vector<std::uint64_t> commit_plan(ResolvedPlan&& plan);
@@ -244,8 +240,8 @@ class GadgetPool {
 
   std::uint64_t synthesize(std::span<const isa::Insn> core, bool jop,
                            isa::Reg jop_target, RegSet junk_allowed);
-  // The shared junk-diversification policy of synthesize() and the
-  // resolve_batch plan phase: draws from `rng` in a fixed order.
+  // The shared junk-diversification policy of synthesize() and
+  // plan_batch: draws from `rng` in a fixed order.
   static Gadget make_body(std::span<const isa::Insn> core, bool jop,
                           isa::Reg jop_target, RegSet junk_allowed, Rng& rng,
                           std::vector<std::uint8_t>* bytes);

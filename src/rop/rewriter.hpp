@@ -8,10 +8,11 @@
 // engine::ObfuscationEngine; batch/parallel callers should use the engine
 // directly (engine.obfuscate_module(names, threads)), and long-lived
 // multi-module callers the streaming engine::ObfuscationService
-// (engine/service.hpp). All three front doors run the same two pipeline
-// stages (craft_module / commit_module) -- one execution path, so a
-// function rewritten here is byte-identical to the same function
-// rewritten through a streamed session (DESIGN.md §8).
+// (engine/service.hpp). All three front doors run the same three
+// pipeline stages (craft_module / resolve_module / materialize_module)
+// -- one execution path, so a function rewritten here is byte-identical
+// to the same function rewritten through a streamed session
+// (DESIGN.md §8).
 #pragma once
 
 #include <memory>

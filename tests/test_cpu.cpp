@@ -812,9 +812,9 @@ TEST(Cpu, ReturnTargetCacheHoldsRopWorkingSet) {
 // seeded random programs spanning every opcode and operand shape --
 // including mid-block self-modifying stores, blocks that straddle a page
 // boundary, wild indirect jumps and mid-run budget pauses -- must be
-// architecturally indistinguishable between the lowered fast path, the
-// chained-but-unlowered reference (set_lowered_dispatch(false)) and the
-// central fetch loop (set_threaded_dispatch(false)).
+// architecturally indistinguishable between the lowered fast path and the
+// reference central fetch loop (set_threaded_dispatch(false)), and
+// between fresh, cache-importing and warm-clone runs of the lowered path.
 
 struct FuzzOutcome {
   CpuStatus status = CpuStatus::kHalted;
@@ -1077,7 +1077,7 @@ std::vector<std::uint8_t> make_fuzz_program(std::uint64_t seed) {
   return bytes;
 }
 
-enum class FuzzMode { kLowered, kChainedUnlowered, kCentral, kImported };
+enum class FuzzMode { kLowered, kCentral, kImported };
 
 // Reads one word of every page the fuzz setup seeded, filling the
 // Memory's page TLB.
@@ -1128,7 +1128,6 @@ FuzzOutcome run_fuzz(const std::vector<std::uint8_t>& bytes,
   }
   Cpu cpu(&mem);
   if (cache) EXPECT_TRUE(cpu.import_cache(cache));
-  if (mode == FuzzMode::kChainedUnlowered) cpu.set_lowered_dispatch(false);
   if (mode == FuzzMode::kCentral) cpu.set_threaded_dispatch(false);
   std::mt19937_64 regrng(seed ^ 0xda942042e4dd58b5ull);
   for (int r = 0; r < isa::kNumRegs; ++r)
@@ -1156,9 +1155,7 @@ TEST(Cpu, LoweredDifferentialFuzz) {
   for (std::uint64_t seed = 1; seed <= 48; ++seed) {
     auto bytes = make_fuzz_program(seed);
     FuzzOutcome lowered = run_fuzz(bytes, seed, FuzzMode::kLowered);
-    FuzzOutcome chained = run_fuzz(bytes, seed, FuzzMode::kChainedUnlowered);
     FuzzOutcome central = run_fuzz(bytes, seed, FuzzMode::kCentral);
-    EXPECT_EQ(lowered, chained) << "seed " << seed;
     EXPECT_EQ(lowered, central) << "seed " << seed;
     if (seed % 4 == 0) {
       // Imported shared-cache blocks carry pre-lowered µops too; a clone
@@ -1185,17 +1182,14 @@ TEST(Cpu, LoweredBudgetPauseFuzz) {
   // adjacent-pair generator) exactly between the halves of a fused
   // macro-op, which must demote and pause at the consumer's address.
   // The paused architectural state (rip, insn_count, regs) must match
-  // the chained-unlowered and central references exactly.
+  // the central reference exactly.
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     auto bytes = make_fuzz_program(seed);
     for (std::uint64_t budget : {1ull, 2ull, 3ull, 17ull, 101ull}) {
       FuzzOutcome lowered =
           run_fuzz(bytes, seed, FuzzMode::kLowered, budget);
-      FuzzOutcome chained =
-          run_fuzz(bytes, seed, FuzzMode::kChainedUnlowered, budget);
       FuzzOutcome central =
           run_fuzz(bytes, seed, FuzzMode::kCentral, budget);
-      EXPECT_EQ(lowered, chained) << "seed " << seed << " budget " << budget;
       EXPECT_EQ(lowered, central) << "seed " << seed << " budget " << budget;
       if (seed % 4 == 0) {
         FuzzOutcome imported =

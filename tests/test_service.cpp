@@ -1,10 +1,11 @@
 // ObfuscationService tests: the streaming front door must move
-// wall-clock, never bytes. A module streamed through the craft/commit
-// pipeline -- concurrently with other sessions, at any thread/shard
-// combination, against the shared analysis cache -- must be
-// byte-identical to standalone obfuscate_module() runs with the same
-// batches and seed; per-session results arrive in submission order;
-// shutdown with jobs in flight completes every handle.
+// wall-clock, never bytes. A module streamed through the
+// craft/resolve/materialize pipeline -- concurrently with other
+// sessions, at any thread/shard combination, against the shared
+// analysis cache -- must be byte-identical to standalone
+// obfuscate_module() runs with the same batches and seed; per-session
+// results arrive in submission order; shutdown with jobs in flight
+// completes every handle.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -243,10 +244,9 @@ TEST(ServiceStreaming, ShutdownWithJobsInFlightCompletesEveryHandle) {
 TEST(ServiceStreaming, PipelineSweepMatchesSerialReference) {
   // The §9 acceptance sweep: streamed output must reproduce the serial
   // (1 thread, 1 shard) standalone reference bit for bit at every
-  // (threads, shards, sessions, queue-depth, pipeline-stages)
-  // combination -- queues and stage topology move wall-clock, never
-  // bytes. Two concurrent sessions over distinct modules, three jobs
-  // each, submitted interleaved.
+  // (threads, shards, sessions, queue-depth) combination -- queues move
+  // wall-clock, never bytes. Two concurrent sessions over distinct
+  // modules, three jobs each, submitted interleaved.
   const std::uint64_t corpus_seeds[] = {17, 19};
   std::vector<workload::Corpus> corpora;
   std::vector<std::vector<std::vector<std::string>>> jobs;
@@ -257,40 +257,38 @@ TEST(ServiceStreaming, PipelineSweepMatchesSerialReference) {
     refs.push_back(run_standalone(corpora.back(), jobs.back(), 200 + cs, 1, 1));
   }
 
-  for (int stages : {2, 3}) {
-    for (std::size_t queue_depth : {std::size_t{1}, std::size_t{0}}) {
-      for (int threads : {1, 2}) {
-        for (int shards : {1, 3}) {
-          engine::ServiceConfig sc;
-          sc.craft_threads = threads;
-          sc.commit_shards = shards;
-          sc.pipeline_stages = stages;
-          sc.craft_queue_depth = queue_depth == 0 ? 0 : 2;
-          sc.stage_queue_depth = queue_depth;
-          sc.cache = std::make_shared<analysis::AnalysisCache>();
-          engine::ObfuscationService service(sc);
-          std::vector<Image> imgs(corpora.size());
-          std::vector<std::shared_ptr<engine::Session>> sessions;
-          for (std::size_t m = 0; m < corpora.size(); ++m) {
-            imgs[m] = minic::compile(corpora[m].module);
-            sessions.push_back(service.open_session(
-                &imgs[m], full_cfg(200 + corpus_seeds[m])));
-          }
-          std::vector<std::vector<engine::JobHandle>> hs(corpora.size());
-          for (std::size_t b = 0; b < 3; ++b)
-            for (std::size_t m = 0; m < corpora.size(); ++m)
-              hs[m].push_back(sessions[m]->submit(jobs[m][b]));
-          for (std::size_t m = 0; m < corpora.size(); ++m) {
-            for (std::size_t b = 0; b < 3; ++b)
-              expect_same_results(hs[m][b].wait(), refs[m].results[b],
-                                  "pipeline sweep job");
-            expect_same_image(imgs[m], refs[m].img, "pipeline sweep module");
-          }
-          auto st = service.stats();
-          EXPECT_EQ(st.jobs_completed, 6u)
-              << "stages=" << stages << " depth=" << queue_depth;
-          EXPECT_EQ(st.jobs_cancelled + st.jobs_rejected, 0u);
+  for (std::size_t queue_depth : {std::size_t{1}, std::size_t{0}}) {
+    for (int threads : {1, 2}) {
+      for (int shards : {1, 3}) {
+        engine::ServiceConfig sc;
+        sc.craft_threads = threads;
+        sc.commit_shards = shards;
+        sc.craft_queue_depth = queue_depth == 0 ? 0 : 2;
+        sc.stage_queue_depth = queue_depth;
+        sc.cache = std::make_shared<analysis::AnalysisCache>();
+        engine::ObfuscationService service(sc);
+        std::vector<Image> imgs(corpora.size());
+        std::vector<std::shared_ptr<engine::Session>> sessions;
+        for (std::size_t m = 0; m < corpora.size(); ++m) {
+          imgs[m] = minic::compile(corpora[m].module);
+          sessions.push_back(service.open_session(
+              &imgs[m], full_cfg(200 + corpus_seeds[m])));
         }
+        std::vector<std::vector<engine::JobHandle>> hs(corpora.size());
+        for (std::size_t b = 0; b < 3; ++b)
+          for (std::size_t m = 0; m < corpora.size(); ++m)
+            hs[m].push_back(sessions[m]->submit(jobs[m][b]));
+        for (std::size_t m = 0; m < corpora.size(); ++m) {
+          for (std::size_t b = 0; b < 3; ++b)
+            expect_same_results(hs[m][b].wait(), refs[m].results[b],
+                                "pipeline sweep job");
+          expect_same_image(imgs[m], refs[m].img, "pipeline sweep module");
+        }
+        auto st = service.stats();
+        EXPECT_EQ(st.jobs_completed, 6u)
+            << "depth=" << queue_depth << " threads=" << threads
+            << " shards=" << shards;
+        EXPECT_EQ(st.jobs_cancelled + st.jobs_rejected, 0u);
       }
     }
   }
@@ -528,6 +526,43 @@ TEST(ServiceWatchdog, DeadlineDemotesOverrunningCraftToSerialPath) {
   expect_same_image(img, ref.img, "demoted module");
 }
 
+TEST(ServiceWatchdog, DownstreamOverrunIsFlaggedNotDemoted) {
+  // A materialize held past watchdog_deadline_s has no cancellation
+  // point (stopping mid-commit would corrupt the image), so the
+  // watchdog only flags it: the job still completes on the pipelined
+  // path, undemoted, with the standalone-reference bytes.
+  auto cp = workload::make_corpus(53, 12);
+  auto jobs = split_batches(cp.functions, 1);
+  StandaloneRun ref = run_standalone(cp, jobs, 61);
+
+  auto gate = std::make_shared<StageGate>();
+  gate->stage_to_block = "materialize";
+  engine::ServiceConfig sc;
+  sc.watchdog_deadline_s = 0.1 * deadline_scale();
+  sc.cache = std::make_shared<analysis::AnalysisCache>();
+  sc.stage_probe = [gate](const char* stage) { gate->on_probe(stage); };
+  engine::ObfuscationService service(sc);
+  Image img = minic::compile(cp.module);
+  auto session = service.open_session(&img, full_cfg(61));
+
+  engine::JobHandle h = session->submit(jobs[0]);
+  gate->wait_entered(1);  // held at the materialize probe, clock running
+  std::this_thread::sleep_for(
+      std::chrono::milliseconds(std::lround(500 * deadline_scale())));
+  gate->release();
+
+  const engine::ModuleResult& r = h.wait();
+  EXPECT_FALSE(r.degraded_serial);
+  EXPECT_FALSE(r.error.has_value());
+  auto st = service.stats();
+  EXPECT_GE(st.watchdog_flags, 1u);
+  EXPECT_EQ(st.jobs_degraded_serial, 0u);
+  EXPECT_EQ(st.jobs_completed, 1u);
+  EXPECT_EQ(st.jobs_quarantined, 0u);
+  expect_same_results(r, ref.results[0], "flagged job");
+  expect_same_image(img, ref.img, "flagged module");
+}
+
 TEST(ServiceCancellation, DroppedHandlesCancelJobsBeforeResolve) {
   // Dropping every client copy of a JobHandle cancels the job at its
   // next stage boundary if it has not entered resolve: the cancelled
@@ -603,8 +638,9 @@ TEST(ServiceCancellation, MidCraftDropShedsRemainingFunctions) {
 
 TEST(ServiceStreaming, FacadesShareTheStreamedExecutionPath) {
   // One execution path: Rewriter -> engine facade -> the same
-  // craft_module/commit_module stages the service drives. All three
-  // front doors produce identical bytes for identical input.
+  // craft_module/resolve_module/materialize_module stages the service
+  // drives. All three front doors produce identical bytes for identical
+  // input.
   auto cp = workload::make_corpus(11, 20);
   Image a = minic::compile(cp.module);
   Image b = minic::compile(cp.module);

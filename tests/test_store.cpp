@@ -69,7 +69,8 @@ StoreRun run_corpus(const workload::Corpus& cp,
   // An empty pre-batch makes the engine non-virgin, which disables the
   // whole-module fast path: the run then exercises the per-record tier
   // (analysis entries, craft memos, harvest) like a mid-life engine.
-  if (record_tier_only) eng.commit_module(eng.craft_module({}, 1));
+  if (record_tier_only)
+    eng.materialize_module(eng.resolve_module(eng.craft_module({}, 1)));
   out.mod = eng.obfuscate_module(cp.functions, 1);
   return out;
 }
