@@ -245,8 +245,8 @@ inline void emit_cpu_throughput(BenchJson& json) {
 
 // AnalysisCache telemetry (DESIGN.md §7): every bench JSON records the
 // process-wide cache counters so repeated-sweep amortization shows up in
-// whichever bench CI runs. The harvest (gadget-finder) memo lives in the
-// cache's aux side table and is reported alongside.
+// whichever bench CI runs. The harvest (gadget-finder) memo shares the
+// cache's aux_stats() with the craft memo and is reported alongside.
 inline void emit_analysis_cache(BenchJson& json) {
   auto s = analysis::AnalysisCache::process_cache()->stats();
   json.metric("analysis_cache_hits", static_cast<double>(s.hits));

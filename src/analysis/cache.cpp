@@ -1,11 +1,10 @@
 #include "analysis/cache.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "store/serialize.hpp"
-#include "store/store.hpp"
 #include "support/binio.hpp"
-#include "support/faultpoint.hpp"
 
 namespace raindrop::analysis {
 
@@ -76,15 +75,14 @@ AnalysisCache::Shard& AnalysisCache::shard_for(std::uint64_t key) {
   return shards_[key % shards_.size()];
 }
 
-AnalysisCache::Entry AnalysisCache::build_entry(const Image& img,
-                                                std::uint64_t entry,
-                                                std::uint64_t size,
-                                                int arg_count) {
-  Entry e;
-  e.entry_addr = entry;
-  e.size = size;
-  e.arg_count = arg_count;
-  auto art = std::make_shared<AnalysisArtifacts>();
+std::shared_ptr<AnalysisCache::Entry> AnalysisCache::build_entry(
+    const Image& img, std::uint64_t entry, std::uint64_t size,
+    int arg_count) {
+  auto e = std::make_shared<Entry>();
+  e->entry_addr = entry;
+  e->size = size;
+  e->arg_count = arg_count;
+  AnalysisArtifacts* art = &e->art;
   art->cfg = build_cfg(img, entry, size);
   if (art->cfg.complete) {
     art->liveness = compute_liveness(art->cfg, &img);
@@ -103,7 +101,7 @@ AnalysisCache::Entry AnalysisCache::build_entry(const Image& img,
       td.hash = hash_range(img, td.addr, td.bytes);
       dep_fp = AnalysisCache::fold(dep_fp, td.addr);
       dep_fp = AnalysisCache::fold(dep_fp, td.hash);
-      e.tables.push_back(td);
+      e->tables.push_back(td);
     }
     for (const CfgInsn& ci : bb.insns) {
       if (ci.insn.op != isa::Op::CALL_REL) continue;
@@ -114,12 +112,11 @@ AnalysisCache::Entry AnalysisCache::build_entry(const Image& img,
       dep_fp = AnalysisCache::fold(dep_fp, cd.target);
       dep_fp = AnalysisCache::fold(
           dep_fp, static_cast<std::uint64_t>(cd.arg_count + 1));
-      e.callees.push_back(cd);
+      e->callees.push_back(cd);
     }
   }
   art->dep_fingerprint = dep_fp;
   art->integrity = art->compute_integrity();
-  e.art = std::move(art);
   return e;
 }
 
@@ -131,7 +128,8 @@ void AnalysisCache::attach_store(std::shared_ptr<store::ArtifactStore> st) {
 // full artifact). The store's header already authenticates kind/key/
 // payload digest; this codec only has to round-trip losslessly and
 // parse-fail recoverably on anything malformed.
-std::vector<std::uint8_t> AnalysisCache::serialize_entry(const Entry& e) {
+std::vector<std::uint8_t> AnalysisCache::EntryCodec::encode(
+    const Entry& e) const {
   binio::Writer w;
   w.u64(e.entry_addr);
   w.u64(e.size);
@@ -147,7 +145,7 @@ std::vector<std::uint8_t> AnalysisCache::serialize_entry(const Entry& e) {
     w.u64(cd.target);
     w.i64(cd.arg_count);
   }
-  const AnalysisArtifacts& a = *e.art;
+  const AnalysisArtifacts& a = e.art;
   w.u64(a.dep_fingerprint);
   w.u64(a.integrity);
   w.u64(a.cfg.entry);
@@ -185,30 +183,30 @@ std::vector<std::uint8_t> AnalysisCache::serialize_entry(const Entry& e) {
   return w.take();
 }
 
-std::optional<AnalysisCache::Entry> AnalysisCache::deserialize_entry(
-    std::span<const std::uint8_t> payload) {
+std::shared_ptr<AnalysisCache::Entry> AnalysisCache::EntryCodec::decode(
+    std::span<const std::uint8_t> payload) const {
   try {
     binio::Reader r(payload);
-    Entry e;
-    e.entry_addr = r.u64();
-    e.size = r.u64();
-    e.arg_count = static_cast<int>(r.i64());
+    auto e = std::make_shared<Entry>();
+    e->entry_addr = r.u64();
+    e->size = r.u64();
+    e->arg_count = static_cast<int>(r.i64());
     std::uint32_t n_tables = r.count(/*min_elem_bytes=*/24);
     for (std::uint32_t i = 0; i < n_tables; ++i) {
       Entry::TableDep td;
       td.addr = r.u64();
       td.bytes = r.u64();
       td.hash = r.u64();
-      e.tables.push_back(td);
+      e->tables.push_back(td);
     }
     std::uint32_t n_callees = r.count(/*min_elem_bytes=*/16);
     for (std::uint32_t i = 0; i < n_callees; ++i) {
       Entry::CalleeDep cd;
       cd.target = r.u64();
       cd.arg_count = static_cast<int>(r.i64());
-      e.callees.push_back(cd);
+      e->callees.push_back(cd);
     }
-    auto art = std::make_shared<AnalysisArtifacts>();
+    AnalysisArtifacts* art = &e->art;
     art->dep_fingerprint = r.u64();
     art->integrity = r.u64();
     art->cfg.entry = r.u64();
@@ -249,10 +247,9 @@ std::optional<AnalysisCache::Entry> AnalysisCache::deserialize_entry(
     read_regmap(art->liveness.live_out);
     read_regmap(art->liveness.block_in);
     read_regmap(art->taint.tainted_in);
-    e.art = std::move(art);
     return e;
   } catch (const binio::Error&) {
-    return std::nullopt;
+    return nullptr;
   }
 }
 
@@ -266,159 +263,91 @@ bool AnalysisCache::deps_valid(const Entry& e, const Image& img) {
   return true;
 }
 
+Verdict AnalysisCache::EntryCodec::check(const Entry& e) const {
+  // Same content hash but different identity would be a 64-bit
+  // collision between coexisting functions; stale dependencies mean the
+  // image changed somewhere the analyses looked. Either rebuilds.
+  if (e.entry_addr != entry || e.size != size || e.arg_count != arg_count ||
+      !deps_valid(e, *img))
+    return Verdict::kStale;
+  return e.art.integrity == e.art.compute_integrity() ? Verdict::kValid
+                                                      : Verdict::kCorrupt;
+}
+
+std::shared_ptr<const AnalysisCache::Entry> AnalysisCache::EntryCodec::corrupt(
+    const Entry& e) const {
+  // A digest-covered field flipped, the stored digest kept clean.
+  auto bad = std::make_shared<Entry>(e);
+  bad->art.dep_fingerprint ^= 1;
+  return bad;
+}
+
 std::shared_ptr<const AnalysisArtifacts> AnalysisCache::lookup_or_build(
     const Image& img, std::uint64_t entry, std::uint64_t size,
-    int arg_count, bool* hit, bool* store_hit) {
+    int arg_count, LookupOutcome* out) {
   std::uint64_t key = hash_range(img, entry, static_cast<std::size_t>(size));
   key = mix(key, entry);
   key = mix(key, size);
   key = mix(key, static_cast<std::uint64_t>(arg_count));
   key = mix(key, kAnalysisVersion);
-  if (store_hit) *store_hit = false;
-
-  Shard& sh = shard_for(key);
-  {
-    std::lock_guard<std::mutex> lock(sh.mu);
-    auto it = sh.map.find(key);
-    if (it != sh.map.end()) {
-      const Entry& e = it->second;
-      // Same content hash but different identity would be a 64-bit
-      // collision between coexisting functions; treat as a miss.
-      if (e.entry_addr == entry && e.size == size &&
-          e.arg_count == arg_count && deps_valid(e, img)) {
-        if (e.art->integrity == e.art->compute_integrity()) {
-          ++sh.hits;
-          if (hit) *hit = true;
-          return e.art;
-        }
-        // Corrupted entry: the stored digest no longer matches the
-        // contents. Evict and rebuild -- the caller never sees it.
-        ++sh.integrity_evictions;
-      }
-      // Stale dependencies, corruption, or collision: drop and rebuild.
-      sh.map.erase(it);
-      ++sh.evictions;
-    }
-  }
-
-  // Memory miss: probe the disk tier (outside any lock -- store I/O and
-  // deserialization are slow next to a shard probe).
-  if (store_) {
-    if (std::optional<std::vector<std::uint8_t>> payload =
-            store_->get(store::Kind::kAnalysis, key)) {
-      std::optional<Entry> loaded = deserialize_entry(*payload);
-      if (loaded && loaded->art && loaded->entry_addr == entry &&
-          loaded->size == size && loaded->arg_count == arg_count &&
-          loaded->art->integrity == loaded->art->compute_integrity() &&
-          deps_valid(*loaded, img)) {
-        std::shared_ptr<const AnalysisArtifacts> art = loaded->art;
-        std::lock_guard<std::mutex> lock(sh.mu);
-        ++sh.hits;
-        if (hit) *hit = true;
-        if (store_hit) *store_hit = true;
-        if (sh.map.emplace(key, std::move(*loaded)).second) {
-          sh.fifo.push_back(key);
-          while (sh.fifo.size() > capacity_) {
-            if (sh.map.erase(sh.fifo.front())) ++sh.evictions;
-            sh.fifo.pop_front();
-          }
-        }
-        return art;
-      }
-      // Parsed-but-invalid record: corruption that beat the store digest,
-      // stale deps against this image, or a key collision. Evict so the
-      // rebuild below can spill a fresh copy.
-      store_->evict(store::Kind::kAnalysis, key);
-    }
-  }
-
-  // Build outside the lock: artifacts are pure functions of the inputs,
-  // so a racing builder computes the identical value.
-  Entry fresh = build_entry(img, entry, size, arg_count);
-  std::shared_ptr<const AnalysisArtifacts> art = fresh.art;
-  // Spill the clean entry before the corruption fault below can taint the
-  // in-memory copy: the disk tier always holds what build_entry produced.
-  if (store_) store_->put(store::Kind::kAnalysis, key, serialize_entry(fresh));
-  if (fault::fire("cache.analysis.corrupt")) {
-    // Emulate in-cache corruption: store a copy with a digest-covered
-    // payload field flipped (keeping the clean stored digest), while the
-    // current caller still gets the clean artifact. The next hit must
-    // detect the mismatch, evict, and rebuild.
-    auto bad = std::make_shared<AnalysisArtifacts>(*art);
-    bad->dep_fingerprint ^= 1;
-    fresh.art = std::move(bad);
-  }
-  {
-    std::lock_guard<std::mutex> lock(sh.mu);
-    ++sh.misses;
-    if (hit) *hit = false;
-    if (sh.map.emplace(key, std::move(fresh)).second) {
-      sh.fifo.push_back(key);
-      while (sh.fifo.size() > capacity_) {
-        if (sh.map.erase(sh.fifo.front())) ++sh.evictions;
-        sh.fifo.pop_front();
-      }
-    }
-  }
-  return art;
+  std::shared_ptr<const Entry> e = get_or_build(
+      EntryCodec{&img, entry, size, arg_count}, key,
+      [&] { return build_entry(img, entry, size, arg_count); }, out);
+  return std::shared_ptr<const AnalysisArtifacts>(e, &e->art);
 }
 
-std::shared_ptr<const void> AnalysisCache::aux_lookup(std::uint64_t key) {
+std::shared_ptr<const void> AnalysisCache::probe(store::Kind kind,
+                                                 std::uint64_t key) {
   Shard& sh = shard_for(key);
   std::lock_guard<std::mutex> lock(sh.mu);
-  auto it = sh.aux.find(key);
-  if (it == sh.aux.end()) {
-    ++sh.aux_misses;
-    return nullptr;
-  }
-  ++sh.aux_hits;
-  return it->second;
+  const Table& t = sh.tables[static_cast<std::size_t>(kind)];
+  auto it = t.map.find(key);
+  return it == t.map.end() ? nullptr : it->second;
 }
 
-void AnalysisCache::aux_insert(std::uint64_t key,
-                               std::shared_ptr<const void> value) {
+void AnalysisCache::drop(store::Kind kind, std::uint64_t key,
+                         const void* seen, bool corrupt) {
   Shard& sh = shard_for(key);
   std::lock_guard<std::mutex> lock(sh.mu);
-  if (sh.aux.emplace(key, std::move(value)).second) {
-    sh.aux_fifo.push_back(key);
-    while (sh.aux_fifo.size() > capacity_) {
-      if (sh.aux.erase(sh.aux_fifo.front())) ++sh.aux_evictions;
-      sh.aux_fifo.pop_front();
-    }
+  Table& t = sh.tables[static_cast<std::size_t>(kind)];
+  auto it = t.map.find(key);
+  if (it == t.map.end() || it->second.get() != seen) return;
+  t.map.erase(it);
+  // The FIFO holds live keys only: a stale slot left behind would later
+  // evict the rebuilt entry early.
+  t.fifo.erase(std::find(t.fifo.begin(), t.fifo.end(), key));
+  ++t.stats.evictions;
+  if (corrupt) ++t.stats.integrity_evictions;
+}
+
+void AnalysisCache::admit(store::Kind kind, std::uint64_t key,
+                          std::shared_ptr<const void> value, bool hit) {
+  Shard& sh = shard_for(key);
+  std::lock_guard<std::mutex> lock(sh.mu);
+  Table& t = sh.tables[static_cast<std::size_t>(kind)];
+  ++(hit ? t.stats.hits : t.stats.misses);
+  if (!t.map.emplace(key, std::move(value)).second) return;
+  t.fifo.push_back(key);
+  while (t.fifo.size() > capacity_) {
+    t.map.erase(t.fifo.front());
+    t.fifo.pop_front();
+    ++t.stats.evictions;
   }
 }
 
-bool AnalysisCache::aux_evict(std::uint64_t key) {
-  Shard& sh = shard_for(key);
-  std::lock_guard<std::mutex> lock(sh.mu);
-  if (!sh.aux.erase(key)) return false;
-  // The stale key may linger in aux_fifo; the eviction sweep in
-  // aux_insert tolerates keys that are already gone.
-  ++sh.aux_evictions;
-  ++sh.aux_integrity_evictions;
-  return true;
-}
-
-AnalysisCache::Stats AnalysisCache::stats() const {
+AnalysisCache::Stats AnalysisCache::sum_stats(bool analysis) const {
   Stats s;
   for (const Shard& sh : shards_) {
     std::lock_guard<std::mutex> lock(sh.mu);
-    s.hits += sh.hits;
-    s.misses += sh.misses;
-    s.evictions += sh.evictions;
-    s.integrity_evictions += sh.integrity_evictions;
-  }
-  return s;
-}
-
-AnalysisCache::Stats AnalysisCache::aux_stats() const {
-  Stats s;
-  for (const Shard& sh : shards_) {
-    std::lock_guard<std::mutex> lock(sh.mu);
-    s.hits += sh.aux_hits;
-    s.misses += sh.aux_misses;
-    s.evictions += sh.aux_evictions;
-    s.integrity_evictions += sh.aux_integrity_evictions;
+    for (std::size_t k = 0; k < kTables; ++k) {
+      if ((k == static_cast<std::size_t>(store::Kind::kAnalysis)) != analysis)
+        continue;
+      const Stats& t = sh.tables[k].stats;
+      s.hits += t.hits;
+      s.misses += t.misses;
+      s.evictions += t.evictions;
+      s.integrity_evictions += t.integrity_evictions;
+    }
   }
   return s;
 }
@@ -426,14 +355,7 @@ AnalysisCache::Stats AnalysisCache::aux_stats() const {
 void AnalysisCache::clear() {
   for (Shard& sh : shards_) {
     std::lock_guard<std::mutex> lock(sh.mu);
-    sh.map.clear();
-    sh.fifo.clear();
-    sh.aux.clear();
-    sh.aux_fifo.clear();
-    sh.hits = sh.misses = sh.evictions = 0;
-    sh.integrity_evictions = 0;
-    sh.aux_hits = sh.aux_misses = sh.aux_evictions = 0;
-    sh.aux_integrity_evictions = 0;
+    for (Table& t : sh.tables) t = Table{};
   }
 }
 

@@ -150,16 +150,19 @@ std::uint64_t config_hash(const rop::ObfConfig& c) {
   return h;
 }
 
-// Tag separating craft-memo keys from other aux-table users (the
-// harvest layers); bump with any craft semantics change.
+// Tag separating craft-memo keys from other cache keys; bump with any
+// craft semantics change.
 constexpr std::uint64_t kCraftMemoTag = 0x435246540001ull;
 constexpr std::uint64_t kModuleRecordTag = 0x4d4f44554c450001ull;
+
+}  // namespace
 
 // Disk-tier codec for a whole CraftArtifact (Kind::kCraftMemo records,
 // DESIGN.md §13). The craft key is cross-process deterministic (content
 // hashes + config + ordinal, no addresses of process objects), so a
 // record spilled by one process serves a warm restart byte-identically.
-std::vector<std::uint8_t> serialize_craft(const CraftArtifact& art) {
+std::vector<std::uint8_t> CraftMemoCodec::encode(
+    const CraftArtifact& art) const {
   binio::Writer w;
   w.u8(art.ok ? 1 : 0);
   w.u32(static_cast<std::uint32_t>(art.failure));
@@ -183,10 +186,8 @@ std::vector<std::uint8_t> serialize_craft(const CraftArtifact& art) {
   return w.take();
 }
 
-// Returns null on any parse failure; the caller additionally re-verifies
-// the artifact's own integrity digest before serving it.
-std::shared_ptr<CraftArtifact> deserialize_craft(
-    std::span<const std::uint8_t> payload) {
+std::shared_ptr<CraftArtifact> CraftMemoCodec::decode(
+    std::span<const std::uint8_t> payload) const {
   try {
     binio::Reader r(payload);
     auto art = std::make_shared<CraftArtifact>();
@@ -221,7 +222,18 @@ std::shared_ptr<CraftArtifact> deserialize_craft(
   }
 }
 
-}  // namespace
+analysis::Verdict CraftMemoCodec::check(const CraftArtifact& art) const {
+  return art.integrity == art.compute_integrity() ? analysis::Verdict::kValid
+                                                  : analysis::Verdict::kCorrupt;
+}
+
+std::shared_ptr<const CraftArtifact> CraftMemoCodec::corrupt(
+    const CraftArtifact& art) const {
+  // A digest-covered field flipped, the stored digest kept clean.
+  auto bad = std::make_shared<CraftArtifact>(art);
+  bad->program_points ^= 1;
+  return bad;
+}
 
 std::uint64_t CraftArtifact::compute_integrity() const {
   // Structural fold over everything materialization consumes from the
@@ -314,72 +326,38 @@ CraftedFunction ObfuscationEngine::craft_one(const std::string& name,
   // finder feed translation / chain crafting), shared through the
   // content-addressed cache: a warm sweep reuses the artifacts of any
   // earlier engine that analysed identical function bytes.
-  bool hit = false;
-  bool store_hit = false;
   cf.analyses = cache_->lookup_or_build(*img_, pre.fn_addr, pre.fn_size,
-                                        pre.arg_count, &hit, &store_hit);
-  cf.analysis_cache_hit = hit;
-  cf.analysis_store_hit = store_hit;
-  const std::shared_ptr<store::ArtifactStore>& st = cache_->store();
-  cf.store_probe = st != nullptr;
+                                        pre.arg_count, &cf.analysis_lookup);
 
   // Craft memo: the whole phase-1 artifact is a pure function of the
   // key's inputs, so a sweep re-obfuscating identical bytes under an
-  // identical configuration serves it without re-crafting.
-  std::uint64_t key = craft_key(pre, cf.analyses->dep_fingerprint);
-  if (auto cached = cache_->aux_lookup(key)) {
-    auto cand = std::static_pointer_cast<const CraftArtifact>(cached);
-    if (cand->integrity == cand->compute_integrity()) {
-      cf.art = std::move(cand);
-      cf.craft_memo_hit = true;
-      cf.ok = cf.art->ok;
-      cf.failure = cf.art->failure;
-      cf.detail = cf.art->detail;
-      return cf;
-    }
-    // Corrupted memo entry: evict and re-craft below. The recomputed
-    // artifact is identical to an uncached craft (same key inputs), so
-    // the final image never sees the corruption.
-    cache_->aux_evict(key);
-    cf.memo_corruption_recovered = true;
-  }
+  // identical configuration -- in this process or, through the store,
+  // an earlier one -- serves it without re-crafting. A corrupted memo
+  // entry is evicted and re-crafted: the recomputed artifact is
+  // identical to an uncached craft, so the image never sees it.
+  cf.art = cache_->get_or_build(
+      CraftMemoCodec{}, craft_key(pre, cf.analyses->dep_fingerprint),
+      [&] { return craft_artifact(pre, *cf.analyses); }, &cf.memo_lookup);
+  cf.ok = cf.art->ok;
+  cf.failure = cf.art->failure;
+  cf.detail = cf.art->detail;
+  return cf;
+}
 
-  // Memory miss: probe the disk tier. The craft key is cross-process
-  // deterministic, so a record spilled by an earlier process (or this
-  // one, pre-restart) serves the whole artifact without re-crafting.
-  if (st) {
-    if (std::optional<std::vector<std::uint8_t>> payload =
-            st->get(store::Kind::kCraftMemo, key)) {
-      std::shared_ptr<CraftArtifact> loaded = deserialize_craft(*payload);
-      if (loaded && loaded->integrity == loaded->compute_integrity()) {
-        cache_->aux_insert(key, loaded);  // promote for sibling configs
-        cf.art = std::move(loaded);
-        cf.craft_memo_hit = true;
-        cf.memo_store_hit = true;
-        cf.ok = cf.art->ok;
-        cf.failure = cf.art->failure;
-        cf.detail = cf.art->detail;
-        return cf;
-      }
-      // Parsed-but-corrupt record (beat the store's payload digest):
-      // evict so the re-craft below spills a clean replacement.
-      st->evict(store::Kind::kCraftMemo, key);
-      cf.store_corruption_recovered = true;
-    }
-  }
-
+std::shared_ptr<CraftArtifact> ObfuscationEngine::craft_artifact(
+    const Prealloc& pre, const analysis::AnalysisArtifacts& analyses) const {
   auto art = std::make_shared<CraftArtifact>();
   // All randomness in this function's craft comes from its own
   // counter-based stream: the artifact depends only on (image snapshot,
   // frozen pool, prealloc, seed, ordinal), never on sibling functions.
   Rng rng = Rng::stream(cfg_.seed, pre.ordinal);
-  const analysis::Cfg& cfg = cf.analyses->cfg;
+  const analysis::Cfg& cfg = analyses.cfg;
   if (!cfg.complete) {
     art->failure = rop::RewriteFailure::CfgIncomplete;
     art->detail = cfg.error;
   } else {
     rop::TranslateResult tr =
-        rop::translate(cfg, cf.analyses->liveness, cf.analyses->taint);
+        rop::translate(cfg, analyses.liveness, analyses.taint);
     if (!tr.ok) {
       art->failure = rop::RewriteFailure::UnsupportedInsn;
       art->detail = tr.error;
@@ -396,9 +374,9 @@ CraftedFunction ObfuscationEngine::craft_one(const std::string& name,
       env.rng = &rng;
       env.ss_addr = ss_addr_;
       env.funcret_gadget = funcret_gadget_;
-      env.spill_slots = cf.spill_slots;
+      env.spill_slots = pre.spill_slots;
       env.p1 = art->p1 ? &*art->p1 : nullptr;
-      env.liveness = &cf.analyses->liveness;
+      env.liveness = &analyses.liveness;
       env.fn_addr = pre.fn_addr;
       env.fn_stub_end = pre.fn_addr + pivot_stub_size();
 
@@ -416,25 +394,7 @@ CraftedFunction ObfuscationEngine::craft_one(const std::string& name,
     }
   }
   art->integrity = art->compute_integrity();
-  // Spill the clean artifact before the corruption fault below can taint
-  // the in-memory copy: the disk tier always holds what craft produced.
-  if (st) st->put(store::Kind::kCraftMemo, key, serialize_craft(*art));
-  if (fault::fire("cache.craft_memo.corrupt")) {
-    // Emulate in-cache corruption: insert a copy with a digest-covered
-    // payload field flipped (the stored digest stays clean), while this
-    // function still uses the clean artifact. The next memo hit must
-    // detect the mismatch, evict, and re-craft.
-    auto bad = std::make_shared<CraftArtifact>(*art);
-    bad->program_points ^= 1;
-    cache_->aux_insert(key, std::move(bad));
-  } else {
-    cache_->aux_insert(key, art);
-  }
-  cf.art = std::move(art);
-  cf.ok = cf.art->ok;
-  cf.failure = cf.art->failure;
-  cf.detail = cf.art->detail;
-  return cf;
+  return art;
 }
 
 rop::RewriteResult ObfuscationEngine::stage_one(CraftedFunction& cf,
@@ -602,32 +562,15 @@ ResolvedModule ObfuscationEngine::resolve_module(CraftedModule&& cm,
   // perfect-hit-rate restart contract.
   store::ArtifactStore* st =
       (cache_ && !flat.empty()) ? cache_->store().get() : nullptr;
-  std::uint64_t pk = 0;
-  std::optional<gadgets::ResolvedPlan> loaded;
-  if (st) {
-    pk = pool_.plan_key(flat);  // before plan_batch consumes ordinals
-    rm.plan_store_probe = true;
-    if (std::optional<std::vector<std::uint8_t>> payload =
-            st->get(store::Kind::kResolvedPlan, pk)) {
-      loaded = pool_.plan_from_payload(*payload, flat.size());
-      if (loaded) {
-        rm.plan_store_hit = true;
-      } else {
-        // Container digest fine, payload unparseable (stale encoder,
-        // rot that re-hashed): evict and re-plan, byte-identically.
-        st->evict(store::Kind::kResolvedPlan, pk);
-        rm.plan_store_corrupt = true;
-      }
-    }
-  }
-  if (loaded) {
-    rm.plan = std::move(*loaded);
-  } else {
-    rm.plan = pool_.plan_batch(flat, shards, threads, pool);
-    if (st)
-      st->put(store::Kind::kResolvedPlan, pk,
-              gadgets::GadgetPool::serialize_plan(rm.plan));
-  }
+  // plan_key must read the pool before plan_batch consumes ordinals.
+  const std::uint64_t pk = st ? pool_.plan_key(flat) : 0;
+  rm.plan = std::move(*AnalysisCache::get_or_build(
+      st, gadgets::PlanCodec{&pool_, flat.size()}, pk,
+      [&] {
+        return std::make_shared<gadgets::ResolvedPlan>(
+            pool_.plan_batch(flat, shards, threads, pool));
+      },
+      &rm.plan_lookup));
   rm.resolve_seconds = watch.seconds();
   return rm;
 }
@@ -644,47 +587,24 @@ ModuleResult ObfuscationEngine::materialize_module(ResolvedModule&& rm) {
   out.sessions_in_flight = rm.sessions_in_flight;
   std::vector<CraftedFunction>& crafted = rm.crafted;
 
+  // Every tier lookup of the batch (analyses + craft memo per crafted
+  // function, one plan record) folds into the counters here.
+  auto tally = [&out](const analysis::LookupOutcome& o) {
+    out.store_hits += o.store_hit;
+    out.store_misses += o.spilled;
+    out.store_spills += o.spilled;
+    out.store_corrupt_evictions += o.store_corrupt;
+    out.corruptions_recovered += o.memory_corrupt;
+  };
   for (const CraftedFunction& cf : crafted) {
-    if (cf.memo_corruption_recovered) ++out.corruptions_recovered;
     if (!cf.analyses) continue;  // early failure: no cache consultation
-    if (cf.analysis_cache_hit)
-      ++out.analysis_cache_hits;
-    else
-      ++out.analysis_cache_misses;
-    if (cf.craft_memo_hit)
-      ++out.craft_memo_hits;
-    else
-      ++out.craft_memo_misses;
-    // Disk-tier telemetry: with a store attached, a memory miss that the
-    // disk also missed rebuilt the value and spilled it (lookup_or_build
-    // / craft_one always put on rebuild, so misses == spills here).
-    if (cf.store_probe) {
-      if (cf.analysis_store_hit) {
-        ++out.store_hits;
-      } else if (!cf.analysis_cache_hit) {
-        ++out.store_misses;
-        ++out.store_spills;
-      }
-      if (cf.memo_store_hit) {
-        ++out.store_hits;
-      } else if (!cf.craft_memo_hit) {
-        ++out.store_misses;
-        ++out.store_spills;
-      }
-      if (cf.store_corruption_recovered) ++out.store_corrupt_evictions;
-    }
+    ++(cf.analysis_lookup.hit ? out.analysis_cache_hits
+                              : out.analysis_cache_misses);
+    ++(cf.memo_lookup.hit ? out.craft_memo_hits : out.craft_memo_misses);
+    tally(cf.analysis_lookup);
+    tally(cf.memo_lookup);
   }
-  // The phase-2a plan record folds into the same counters: a probe
-  // either served the whole plan from disk or spilled the fresh one.
-  if (rm.plan_store_probe) {
-    if (rm.plan_store_hit) {
-      ++out.store_hits;
-    } else {
-      ++out.store_misses;
-      ++out.store_spills;
-    }
-    if (rm.plan_store_corrupt) ++out.store_corrupt_evictions;
-  }
+  tally(rm.plan_lookup);
   std::size_t lookups = out.analysis_cache_hits + out.analysis_cache_misses;
   out.analysis_cache_hit_rate =
       lookups ? static_cast<double>(out.analysis_cache_hits) /

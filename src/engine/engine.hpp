@@ -39,6 +39,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -62,9 +63,9 @@ namespace raindrop::engine {
 // prealloc addresses, config, seed, ordinal, frozen-catalog
 // fingerprint), which is exactly the key the craft memo hashes
 // (DESIGN.md §7): a warm sweep serves the whole artifact from the
-// AnalysisCache side table and goes straight to commit. Shared const --
-// commit never mutates it (materialization maps GadgetRefs through an
-// external address table).
+// AnalysisCache (Kind::kCraftMemo) and goes straight to commit. Shared
+// const -- commit never mutates it (materialization maps GadgetRefs
+// through an external address table).
 struct CraftArtifact {
   bool ok = false;
   rop::RewriteFailure failure = rop::RewriteFailure::None;
@@ -79,6 +80,19 @@ struct CraftArtifact {
   // of materializing a wrong chain.
   std::uint64_t integrity = 0;
   std::uint64_t compute_integrity() const;
+};
+
+// The craft memo's Kind::kCraftMemo codec for AnalysisCache::get_or_build:
+// the artifact is valid exactly when its integrity digest matches.
+struct CraftMemoCodec {
+  using Value = CraftArtifact;
+  static constexpr store::Kind kKind = store::Kind::kCraftMemo;
+  static constexpr const char* kCorruptSite = "cache.craft_memo.corrupt";
+  std::vector<std::uint8_t> encode(const CraftArtifact& art) const;
+  std::shared_ptr<CraftArtifact> decode(
+      std::span<const std::uint8_t> payload) const;
+  analysis::Verdict check(const CraftArtifact& art) const;
+  std::shared_ptr<const CraftArtifact> corrupt(const CraftArtifact& art) const;
 };
 
 // The per-batch phase-1 slot: batch bookkeeping plus the shared
@@ -101,21 +115,11 @@ struct CraftedFunction {
   // Support-analysis artifacts (Figure 2) for this function, shared
   // with the AnalysisCache (never mutated).
   std::shared_ptr<const analysis::AnalysisArtifacts> analyses;
-  bool analysis_cache_hit = false;
-  bool craft_memo_hit = false;
-  // A memo hit failed its integrity check and the artifact was
-  // recomputed (counted into ModuleResult::corruptions_recovered).
-  bool memo_corruption_recovered = false;
-  // -- Disk-tier telemetry (DESIGN.md §13) ----------------------------
-  // store_probe: a persistent store was attached, so this craft consulted
-  // the disk tier on memory misses (and spilled on rebuilds). The *_hit
-  // flags narrow the cache hits above to "served from disk";
-  // store_corruption_recovered marks a disk record that failed
-  // validation and was evicted + recomputed.
-  bool store_probe = false;
-  bool analysis_store_hit = false;
-  bool memo_store_hit = false;
-  bool store_corruption_recovered = false;
+  // How the two tier lookups were served; materialize_module folds them
+  // into ModuleResult. Meaningful only when `analyses` is set (early
+  // failures consult no cache).
+  analysis::LookupOutcome analysis_lookup;
+  analysis::LookupOutcome memo_lookup;
 };
 
 // Typed failure record for the self-healing service pipeline
@@ -169,7 +173,7 @@ struct ModuleResult {
   std::size_t analysis_cache_misses = 0;
   double analysis_cache_hit_rate = 0.0;  // 0 when nothing was looked up
   // Craft-memo telemetry: whole phase-1 artifacts served content-
-  // addressed from the cache side table.
+  // addressed from the cache (memory or store) without a re-craft.
   std::size_t craft_memo_hits = 0;
   std::size_t craft_memo_misses = 0;
   // Persistent-store telemetry (zero when no store is attached): disk
@@ -186,7 +190,8 @@ struct ModuleResult {
   std::optional<ObfError> error;        // quarantined: why the job failed
   int retries = 0;                      // service-level stage retries
   std::size_t craft_retries = 0;        // engine-internal craft_one retries
-  std::size_t corruptions_recovered = 0;  // memo integrity evict+recompute
+  // Memory-tier integrity evict+recompute events (analyses + craft memo).
+  std::size_t corruptions_recovered = 0;
   bool degraded_serial = false;  // watchdog demoted the job to the serial
                                  // reference path (obfuscate_module)
 };
@@ -229,13 +234,9 @@ struct ResolvedModule {
   double resolve_seconds = 0.0;
   int commit_shards = 0;
   std::size_t craft_retries = 0;
-  // Disk-tier telemetry for the phase-2a plan record (DESIGN.md §13):
-  // whether resolve probed the store for a spilled ResolvedPlan, and
-  // whether the probe served it / evicted a corrupt record. Folded into
-  // ModuleResult's store counters by materialize_module.
-  bool plan_store_probe = false;
-  bool plan_store_hit = false;
-  bool plan_store_corrupt = false;
+  // How the store served the phase-2a plan record (DESIGN.md §13);
+  // folded into ModuleResult's store counters by materialize_module.
+  analysis::LookupOutcome plan_lookup;
   // Scheduler telemetry passthrough (see ModuleResult).
   double queue_seconds = 0.0;
   double overlap_seconds = 0.0;
@@ -333,6 +334,10 @@ class ObfuscationEngine {
   Prealloc preallocate(const std::string& name);
   CraftedFunction craft_one(const std::string& name,
                             const Prealloc& pre) const;
+  // The craft itself, run on a craft-memo miss: a pure function of the
+  // craft_key inputs.
+  std::shared_ptr<CraftArtifact> craft_artifact(
+      const Prealloc& pre, const analysis::AnalysisArtifacts& analyses) const;
   // Content hash over every craft input (function bytes, the analyses'
   // revalidated out-of-body dependency fingerprint, prealloc addresses,
   // config, seed, ordinal, catalog fingerprint): the craft memo key.

@@ -161,7 +161,8 @@ class ObfuscationService {
     std::size_t jobs_quarantined = 0;  // failed past retries; typed error
     std::size_t jobs_degraded_serial = 0;  // watchdog-demoted to serial
     std::size_t watchdog_flags = 0;        // overdue-stage detections
-    std::size_t corruptions_recovered = 0; // memo evict+recompute events
+    // Memory-tier integrity evict+recompute events (analyses + craft memo).
+    std::size_t corruptions_recovered = 0;
     // -- Persistent-store telemetry (DESIGN.md §13); all zero without a
     // store_dir. Misses imply spills of the freshly built artifacts.
     std::size_t store_hits = 0;

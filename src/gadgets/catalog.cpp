@@ -6,7 +6,6 @@
 
 #include "isa/encode.hpp"
 #include "store/serialize.hpp"
-#include "store/store.hpp"
 #include "support/binio.hpp"
 #include "support/faultpoint.hpp"
 #include "support/thread_pool.hpp"
@@ -23,7 +22,7 @@ using isa::Reg;
 namespace {
 
 // Bump when the scan semantics change: stale memoized layers in a
-// shared AnalysisCache side table become unreachable instead of wrong.
+// shared AnalysisCache become unreachable instead of wrong.
 constexpr std::uint64_t kHarvestVersion = 1;
 
 std::uint64_t fnv1a(const std::string& s) {
@@ -548,7 +547,7 @@ std::optional<ResolvedPlan> GadgetPool::plan_from_payload(
 
 namespace {
 
-std::shared_ptr<const HarvestLayer> build_harvest_layer(
+std::shared_ptr<HarvestLayer> build_harvest_layer(
     const std::uint8_t* data, std::size_t n, std::uint64_t lo,
     std::uint64_t fingerprint) {
   auto layer = std::make_shared<HarvestLayer>();
@@ -589,24 +588,7 @@ std::shared_ptr<const HarvestLayer> build_harvest_layer(
   return layer;
 }
 
-// Deep copy with one gadget dropped (or, for an empty layer, the stored
-// digest flipped) while keeping the clean integrity value: the shape of
-// in-cache corruption the fault site "cache.harvest.corrupt" emulates.
-// by_core pointers must be rebuilt -- they alias by_addr map nodes.
-std::shared_ptr<const HarvestLayer> corrupt_copy(const HarvestLayer& src) {
-  auto bad = std::make_shared<HarvestLayer>();
-  bad->fingerprint = src.fingerprint;
-  bad->integrity = src.integrity;
-  bad->by_addr = src.by_addr;
-  if (!bad->by_addr.empty())
-    bad->by_addr.erase(std::prev(bad->by_addr.end()));
-  else
-    bad->integrity ^= 1;
-  for (const auto& [addr, g] : bad->by_addr)
-    bad->by_core[GadgetPool::key_of(g.body, g.jop, g.jop_target)].push_back(
-        &g);
-  return bad;
-}
+}  // namespace
 
 // Disk-tier codec for a whole HarvestLayer (Kind::kHarvest records,
 // DESIGN.md §13). Only by_addr is encoded: by_core aliases by_addr map
@@ -614,7 +596,8 @@ std::shared_ptr<const HarvestLayer> corrupt_copy(const HarvestLayer& src) {
 // order -- the exact insertion order of the original scan (addresses
 // scanned low to high), so bank order and gadget selection match a
 // fresh build_harvest_layer bit for bit.
-std::vector<std::uint8_t> serialize_harvest(const HarvestLayer& layer) {
+std::vector<std::uint8_t> HarvestCodec::encode(
+    const HarvestLayer& layer) const {
   binio::Writer w;
   w.u64(layer.fingerprint);
   w.u64(layer.integrity);
@@ -630,10 +613,8 @@ std::vector<std::uint8_t> serialize_harvest(const HarvestLayer& layer) {
   return w.take();
 }
 
-// Returns null on any parse failure; the caller additionally verifies
-// fingerprint and integrity before attaching the layer.
-std::shared_ptr<const HarvestLayer> deserialize_harvest(
-    std::span<const std::uint8_t> payload) {
+std::shared_ptr<HarvestLayer> HarvestCodec::decode(
+    std::span<const std::uint8_t> payload) const {
   try {
     binio::Reader r(payload);
     auto layer = std::make_shared<HarvestLayer>();
@@ -663,7 +644,32 @@ std::shared_ptr<const HarvestLayer> deserialize_harvest(
   }
 }
 
-}  // namespace
+analysis::Verdict HarvestCodec::check(const HarvestLayer& layer) const {
+  return layer.fingerprint == key &&
+                 layer.integrity == layer.compute_integrity()
+             ? analysis::Verdict::kValid
+             : analysis::Verdict::kCorrupt;
+}
+
+// Deep copy with one gadget dropped (or, for an empty layer, the stored
+// digest flipped) while keeping the clean integrity value: the shape of
+// in-cache corruption the fault site "cache.harvest.corrupt" emulates.
+// by_core pointers must be rebuilt -- they alias by_addr map nodes.
+std::shared_ptr<const HarvestLayer> HarvestCodec::corrupt(
+    const HarvestLayer& src) const {
+  auto bad = std::make_shared<HarvestLayer>();
+  bad->fingerprint = src.fingerprint;
+  bad->integrity = src.integrity;
+  bad->by_addr = src.by_addr;
+  if (!bad->by_addr.empty())
+    bad->by_addr.erase(std::prev(bad->by_addr.end()));
+  else
+    bad->integrity ^= 1;
+  for (const auto& [addr, g] : bad->by_addr)
+    bad->by_core[GadgetPool::key_of(g.body, g.jop, g.jop_target)].push_back(
+        &g);
+  return bad;
+}
 
 std::uint64_t HarvestLayer::compute_integrity() const {
   std::uint64_t h = 0xa3c59ec77481d2f5ull;
@@ -695,49 +701,11 @@ std::size_t GadgetPool::harvest(std::uint64_t lo, std::uint64_t hi,
   std::uint64_t key = AnalysisCache::hash_bytes(view.data(), view.size());
   key ^= lo * 0x9e3779b97f4a7c15ull;
   key ^= (n + kHarvestVersion) * 0xff51afd7ed558ccdull;
-  std::shared_ptr<const HarvestLayer> layer;
-  if (cache) {
-    if (auto cached = cache->aux_lookup(key)) {
-      auto cand = std::static_pointer_cast<const HarvestLayer>(cached);
-      if (cand->integrity == cand->compute_integrity()) {
-        layer = std::move(cand);
-      } else {
-        // Corrupted memo: evict and rescan below. The rebuilt layer is
-        // bit-identical to what an uncached scan produces, so gadget
-        // selection -- and the final image -- never see the corruption.
-        cache->aux_evict(key);
-      }
-    }
-    store::ArtifactStore* st = cache->store().get();
-    if (!layer && st) {
-      // Memory miss: probe the disk tier (DESIGN.md §13). The key is a
-      // pure content hash of the scanned range, so a layer spilled by an
-      // earlier process attaches identically on a warm restart.
-      if (std::optional<std::vector<std::uint8_t>> payload =
-              st->get(store::Kind::kHarvest, key)) {
-        std::shared_ptr<const HarvestLayer> loaded =
-            deserialize_harvest(*payload);
-        if (loaded && loaded->fingerprint == key &&
-            loaded->integrity == loaded->compute_integrity()) {
-          cache->aux_insert(key, loaded);
-          layer = std::move(loaded);
-        } else {
-          st->evict(store::Kind::kHarvest, key);
-        }
-      }
-    }
-    if (!layer) {
-      layer = build_harvest_layer(view.data(), view.size(), lo, key);
-      // Spill the clean layer before the corruption fault below can
-      // taint the in-memory copy: the disk tier stays clean.
-      if (st) st->put(store::Kind::kHarvest, key, serialize_harvest(*layer));
-      cache->aux_insert(
-          key, fault::fire("cache.harvest.corrupt") ? corrupt_copy(*layer)
-                                                    : layer);
-    }
-  } else {
-    layer = build_harvest_layer(view.data(), view.size(), lo, key);
-  }
+  auto scan = [&] {
+    return build_harvest_layer(view.data(), view.size(), lo, key);
+  };
+  std::shared_ptr<const HarvestLayer> layer =
+      cache ? cache->get_or_build(HarvestCodec{key}, key, scan) : scan();
   bases_.push_back(layer);
   return layer->count();
 }

@@ -9,8 +9,9 @@
 //  * harvest() registers gadgets found by scanning existing code. The
 //    scan is content-addressed: its result is an immutable HarvestLayer
 //    keyed on a hash of the scanned bytes and memoized in the
-//    AnalysisCache's side table, so a warm sweep attaches the layer with
-//    one shared_ptr instead of re-decoding .text at every byte offset.
+//    AnalysisCache (Kind::kHarvest), so a warm sweep attaches the layer
+//    with one shared_ptr instead of re-decoding .text at every byte
+//    offset.
 //
 // Storage is layered: harvested gadgets live in shared immutable base
 // layers; synthesized gadgets live in a pool-owned overlay. Lookups see
@@ -63,6 +64,20 @@ struct HarvestLayer {
   // gadget selection.
   std::uint64_t integrity = 0;
   std::uint64_t compute_integrity() const;
+};
+
+// Kind::kHarvest codec for AnalysisCache::get_or_build: a layer is valid
+// when it was scanned for `key` and its integrity digest matches.
+struct HarvestCodec {
+  using Value = HarvestLayer;
+  static constexpr store::Kind kKind = store::Kind::kHarvest;
+  static constexpr const char* kCorruptSite = "cache.harvest.corrupt";
+  std::uint64_t key = 0;
+  std::vector<std::uint8_t> encode(const HarvestLayer& layer) const;
+  std::shared_ptr<HarvestLayer> decode(
+      std::span<const std::uint8_t> payload) const;
+  analysis::Verdict check(const HarvestLayer& layer) const;
+  std::shared_ptr<const HarvestLayer> corrupt(const HarvestLayer& layer) const;
 };
 
 // A deferred gadget demand recorded by the pure craft phase (which runs
@@ -209,7 +224,7 @@ class GadgetPool {
   // Scans [lo, hi) for pre-existing usable gadget bodies and registers
   // them (gadgets "already available in program parts left
   // unobfuscated"). With `cache`, the scan result is memoized in the
-  // cache's content-addressed side table and reused by any pool whose
+  // cache (and its store, when attached) and reused by any pool whose
   // range holds identical bytes. Returns how many were registered.
   std::size_t harvest(std::uint64_t lo, std::uint64_t hi,
                       analysis::AnalysisCache* cache = nullptr);
@@ -264,6 +279,28 @@ class GadgetPool {
   std::map<std::uint64_t, const Gadget*> by_addr_;
   std::size_t synth_bytes_ = 0;
   std::uint64_t overlay_fp_ = 0;     // running hash over register_owned()
+};
+
+// Kind::kResolvedPlan codec (disk tier only): serialize_plan /
+// plan_from_payload for a batch of `nreqs` requests on `pool`. decode
+// validates fully and, on success, applies plan_batch's pool side
+// effects, so check() has nothing left to reject.
+struct PlanCodec {
+  using Value = ResolvedPlan;
+  static constexpr store::Kind kKind = store::Kind::kResolvedPlan;
+  GadgetPool* pool = nullptr;
+  std::size_t nreqs = 0;
+  std::vector<std::uint8_t> encode(const ResolvedPlan& plan) const {
+    return GadgetPool::serialize_plan(plan);
+  }
+  std::shared_ptr<ResolvedPlan> decode(
+      std::span<const std::uint8_t> payload) const {
+    std::optional<ResolvedPlan> plan = pool->plan_from_payload(payload, nreqs);
+    return plan ? std::make_shared<ResolvedPlan>(std::move(*plan)) : nullptr;
+  }
+  analysis::Verdict check(const ResolvedPlan&) const {
+    return analysis::Verdict::kValid;
+  }
 };
 
 }  // namespace raindrop::gadgets

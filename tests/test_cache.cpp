@@ -90,13 +90,13 @@ TEST(AnalysisCacheTest, PatchingFunctionBytesInvalidates) {
   }
   ASSERT_NE(fn, nullptr);
 
-  bool hit = true;
+  analysis::LookupOutcome o;
   auto a1 = cache.lookup_or_build(img, fn->addr, fn->size, fn->arg_count,
-                                  &hit);
-  EXPECT_FALSE(hit);
+                                  &o);
+  EXPECT_FALSE(o.hit);
   auto a2 = cache.lookup_or_build(img, fn->addr, fn->size, fn->arg_count,
-                                  &hit);
-  EXPECT_TRUE(hit);
+                                  &o);
+  EXPECT_TRUE(o.hit);
   EXPECT_EQ(a1.get(), a2.get());  // shared, not recomputed
 
   // Patch one byte of the body: the content hash changes, so the next
@@ -105,16 +105,16 @@ TEST(AnalysisCacheTest, PatchingFunctionBytesInvalidates) {
   std::uint8_t flipped[1] = {static_cast<std::uint8_t>(orig ^ 0xff)};
   img.patch(fn->addr, flipped);
   auto a3 = cache.lookup_or_build(img, fn->addr, fn->size, fn->arg_count,
-                                  &hit);
-  EXPECT_FALSE(hit);
+                                  &o);
+  EXPECT_FALSE(o.hit);
   EXPECT_NE(a1.get(), a3.get());
 
   // Restoring the bytes restores the original entry.
   std::uint8_t restore[1] = {orig};
   img.patch(fn->addr, restore);
   auto a4 = cache.lookup_or_build(img, fn->addr, fn->size, fn->arg_count,
-                                  &hit);
-  EXPECT_TRUE(hit);
+                                  &o);
+  EXPECT_TRUE(o.hit);
   EXPECT_EQ(a1.get(), a4.get());
 }
 
@@ -133,8 +133,8 @@ TEST(AnalysisCacheTest, JumpTableCellsAreValidatedDependencies) {
   const FunctionSym* f = img.function("f");
 
   AnalysisCache cache;
-  bool hit = true;
-  auto a1 = cache.lookup_or_build(img, f->addr, f->size, f->arg_count, &hit);
+  analysis::LookupOutcome o;
+  auto a1 = cache.lookup_or_build(img, f->addr, f->size, f->arg_count, &o);
   ASSERT_TRUE(a1->cfg.complete);
   const analysis::JumpTable* jt = nullptr;
   for (const auto& [addr, bb] : a1->cfg.blocks)
@@ -146,8 +146,9 @@ TEST(AnalysisCacheTest, JumpTableCellsAreValidatedDependencies) {
   // the new target.
   std::uint64_t evictions_before = cache.stats().evictions;
   img.patch_u64(jt->table_addr + 8, jt->targets[0]);
-  auto a2 = cache.lookup_or_build(img, f->addr, f->size, f->arg_count, &hit);
-  EXPECT_FALSE(hit);
+  auto a2 = cache.lookup_or_build(img, f->addr, f->size, f->arg_count, &o);
+  EXPECT_FALSE(o.hit);
+  EXPECT_FALSE(o.memory_corrupt) << "a stale entry counted as corruption";
   EXPECT_NE(a1.get(), a2.get());
   EXPECT_GT(cache.stats().evictions, evictions_before);
   const analysis::JumpTable* jt2 = nullptr;
@@ -174,14 +175,14 @@ TEST(AnalysisCacheTest, CalleeArgCountIsValidatedDependency) {
   const FunctionSym* f = img.function("caller");
 
   AnalysisCache cache;
-  bool hit = true;
-  auto a1 = cache.lookup_or_build(img, f->addr, f->size, f->arg_count, &hit);
-  EXPECT_FALSE(hit);
+  analysis::LookupOutcome o;
+  auto a1 = cache.lookup_or_build(img, f->addr, f->size, f->arg_count, &o);
+  EXPECT_FALSE(o.hit);
   // The callee's prototype changing refines liveness at the call site:
   // the cached artifact must not survive it.
   img.function("leaf")->arg_count = 0;
-  auto a2 = cache.lookup_or_build(img, f->addr, f->size, f->arg_count, &hit);
-  EXPECT_FALSE(hit);
+  auto a2 = cache.lookup_or_build(img, f->addr, f->size, f->arg_count, &o);
+  EXPECT_FALSE(o.hit);
   EXPECT_NE(a1.get(), a2.get());
 }
 
@@ -273,10 +274,10 @@ TEST(AnalysisCacheTest, CorruptedEntryIsDetectedEvictedAndRecomputed) {
 
   AnalysisCache cache;
   fault::arm("cache.analysis.corrupt", fault::Spec::every_nth(1));
-  bool hit = true;
+  analysis::LookupOutcome o;
   auto clean = cache.lookup_or_build(img, fn->addr, fn->size, fn->arg_count,
-                                     &hit);
-  EXPECT_FALSE(hit);
+                                     &o);
+  EXPECT_FALSE(o.hit);
   EXPECT_EQ(fault::site_stats("cache.analysis.corrupt").fires, 1u);
   fault::disarm_all();
   // The caller of the corrupting insert still got the clean artifact.
@@ -286,8 +287,9 @@ TEST(AnalysisCacheTest, CorruptedEntryIsDetectedEvictedAndRecomputed) {
   // digest mismatch and rebuild instead of serving it.
   auto s0 = cache.stats();
   auto healed = cache.lookup_or_build(img, fn->addr, fn->size, fn->arg_count,
-                                      &hit);
-  EXPECT_FALSE(hit) << "a corrupted entry was served as a hit";
+                                      &o);
+  EXPECT_FALSE(o.hit) << "a corrupted entry was served as a hit";
+  EXPECT_TRUE(o.memory_corrupt);
   auto s1 = cache.stats();
   EXPECT_EQ(s1.integrity_evictions, s0.integrity_evictions + 1);
   EXPECT_EQ(healed->integrity, healed->compute_integrity());
@@ -295,9 +297,54 @@ TEST(AnalysisCacheTest, CorruptedEntryIsDetectedEvictedAndRecomputed) {
 
   // Healed: subsequent lookups hit the recomputed entry.
   auto again = cache.lookup_or_build(img, fn->addr, fn->size, fn->arg_count,
-                                     &hit);
-  EXPECT_TRUE(hit);
+                                     &o);
+  EXPECT_TRUE(o.hit);
   EXPECT_EQ(again.get(), healed.get());
+}
+
+TEST(AnalysisCacheTest, HealedEntryKeepsLiveEntriesInTheCapacityBound) {
+  // Healing must not leave the evicted key's FIFO slot behind: the
+  // rebuild pushes the key again, and a stale slot would later evict the
+  // fresh entry early. With room for two entries, heal f1, insert f2:
+  // both stay live, and the only eviction is the corrupted copy.
+  auto cp = workload::make_corpus(9, 30);
+  Image img = minic::compile(cp.module);
+  std::vector<const FunctionSym*> fns;
+  for (const auto& name : cp.functions)
+    if (const FunctionSym* f = img.function(name); f && fns.size() < 2)
+      fns.push_back(f);
+  ASSERT_EQ(fns.size(), 2u);
+  AnalysisCache cache(/*shard_count=*/1, /*capacity_per_shard=*/2);
+  auto look = [&](const FunctionSym* f) {
+    analysis::LookupOutcome o;
+    cache.lookup_or_build(img, f->addr, f->size, f->arg_count, &o);
+    return o;
+  };
+
+  fault::arm("cache.analysis.corrupt", fault::Spec::every_nth(1));
+  look(fns[0]);  // caches a corrupted copy of f1
+  fault::disarm_all();
+  EXPECT_TRUE(look(fns[0]).memory_corrupt);  // heal f1
+  look(fns[1]);                              // insert f2
+  EXPECT_TRUE(look(fns[0]).hit) << "the healed entry was evicted early";
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.stats().integrity_evictions, 1u);
+}
+
+TEST(AnalysisCacheTest, HealedAnalysisCorruptionsReachModuleResult) {
+  // Corrupt every analysis insert on a cold run; the warm run heals each
+  // poisoned entry, and ModuleResult reports exactly the healed count.
+  auto cp = workload::make_corpus(3, 40);
+  auto cache = std::make_shared<AnalysisCache>();
+  fault::arm("cache.analysis.corrupt", fault::Spec::every_nth(1, /*cap=*/0));
+  run_corpus(cp, cache, 1);
+  fault::disarm_all();
+
+  std::uint64_t before = cache->stats().integrity_evictions;
+  CacheRun warm = run_corpus(cp, cache, 1);
+  std::uint64_t healed = cache->stats().integrity_evictions - before;
+  EXPECT_GT(healed, 0u);
+  EXPECT_EQ(warm.mod.corruptions_recovered, healed);
 }
 
 TEST(AnalysisCacheTest, CorruptedCraftMemoHealsToByteIdenticalOutput) {
@@ -333,7 +380,7 @@ TEST(AnalysisCacheTest, CorruptedCraftMemoHealsToByteIdenticalOutput) {
 TEST(AnalysisCacheTest, CorruptedHarvestLayerIsRescanned) {
   // The gadget finder's memoized harvest scan heals the same way: a
   // poisoned layer fails its integrity check on attach, is evicted from
-  // the aux table, and the engine rescans -- both engines end up with
+  // the cache, and the engine rescans -- both engines end up with
   // identical pools.
   auto cp = workload::make_corpus(2, 25);
   auto cache = std::make_shared<AnalysisCache>();
@@ -377,11 +424,11 @@ TEST(AnalysisCacheTest, StoreTierPromotesAndHealsAcrossCaches) {
   {
     AnalysisCache cache;
     cache.attach_store(std::make_shared<store::ArtifactStore>(dir.string()));
-    bool hit = true, store_hit = true;
+    analysis::LookupOutcome o;
     auto art = cache.lookup_or_build(img, fn->addr, fn->size, fn->arg_count,
-                                     &hit, &store_hit);
-    EXPECT_FALSE(hit);
-    EXPECT_FALSE(store_hit);
+                                     &o);
+    EXPECT_FALSE(o.hit);
+    EXPECT_FALSE(o.store_hit);
     ref_fp = art->dep_fingerprint;
     ref_integrity = art->integrity;
   }  // store destroyed: pending spill drained to disk
@@ -390,18 +437,18 @@ TEST(AnalysisCacheTest, StoreTierPromotesAndHealsAcrossCaches) {
     AnalysisCache cache;
     auto disk = std::make_shared<store::ArtifactStore>(dir.string());
     cache.attach_store(disk);
-    bool hit = false, store_hit = false;
+    analysis::LookupOutcome o;
     auto art = cache.lookup_or_build(img, fn->addr, fn->size, fn->arg_count,
-                                     &hit, &store_hit);
-    EXPECT_TRUE(hit) << "populated store did not serve a fresh cache";
-    EXPECT_TRUE(store_hit);
+                                     &o);
+    EXPECT_TRUE(o.hit) << "populated store did not serve a fresh cache";
+    EXPECT_TRUE(o.store_hit);
     EXPECT_EQ(art->dep_fingerprint, ref_fp);
     EXPECT_EQ(art->integrity, ref_integrity);
     // Promoted into memory: the next lookup hits without touching disk.
     auto again = cache.lookup_or_build(img, fn->addr, fn->size,
-                                       fn->arg_count, &hit, &store_hit);
-    EXPECT_TRUE(hit);
-    EXPECT_FALSE(store_hit);
+                                       fn->arg_count, &o);
+    EXPECT_TRUE(o.hit);
+    EXPECT_FALSE(o.store_hit);
     EXPECT_EQ(again.get(), art.get());
     EXPECT_EQ(disk->stats().hits, 1u);
   }
@@ -414,12 +461,12 @@ TEST(AnalysisCacheTest, StoreTierPromotesAndHealsAcrossCaches) {
     auto disk = std::make_shared<store::ArtifactStore>(dir.string());
     cache.attach_store(disk);
     fault::arm("store.read.corrupt", fault::Spec::every_nth(1, /*cap=*/1));
-    bool hit = true, store_hit = true;
+    analysis::LookupOutcome o;
     auto art = cache.lookup_or_build(img, fn->addr, fn->size, fn->arg_count,
-                                     &hit, &store_hit);
+                                     &o);
     fault::disarm_all();
-    EXPECT_FALSE(hit) << "a corrupted store record was served";
-    EXPECT_FALSE(store_hit);
+    EXPECT_FALSE(o.hit) << "a corrupted store record was served";
+    EXPECT_FALSE(o.store_hit);
     EXPECT_EQ(disk->stats().corrupt_evictions, 1u);
     EXPECT_EQ(art->dep_fingerprint, ref_fp);
     EXPECT_EQ(art->integrity, ref_integrity);
@@ -466,11 +513,11 @@ TEST(AnalysisCacheTest, TornSpillNeverServesAndHeals) {
     AnalysisCache cache;
     auto disk = std::make_shared<store::ArtifactStore>(dir.string());
     cache.attach_store(disk);
-    bool hit = true, store_hit = true;
+    analysis::LookupOutcome o;
     auto art = cache.lookup_or_build(img, fn->addr, fn->size, fn->arg_count,
-                                     &hit, &store_hit);
-    EXPECT_FALSE(hit) << "a torn record was served";
-    EXPECT_FALSE(store_hit);
+                                     &o);
+    EXPECT_FALSE(o.hit) << "a torn record was served";
+    EXPECT_FALSE(o.store_hit);
     EXPECT_EQ(disk->stats().corrupt_evictions, 1u);
     EXPECT_EQ(art->dep_fingerprint, ref_fp);
   }

@@ -11,7 +11,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <optional>
+#include <set>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "analysis/cache.hpp"
@@ -23,6 +28,7 @@
 #include "minic/codegen.hpp"
 #include "store/serialize.hpp"
 #include "store/store.hpp"
+#include "support/binio.hpp"
 #include "support/faultpoint.hpp"
 #include "workload/corpus.hpp"
 
@@ -450,6 +456,135 @@ TEST(ArtifactStoreTest, ResolvedPlanWarmRestartReplaysPhase2aFromDisk) {
   EXPECT_EQ(disk->stats().corrupt_evictions, 0u);
   EXPECT_DOUBLE_EQ(disk->stats().hit_rate(), 1.0);
 }
+
+TEST(ArtifactStoreTest, RejectedAnalysisRecordsReachModuleResult) {
+  // An analysis record whose container digest is fine but whose payload
+  // does not parse is evicted and rebuilt, and -- like the memo and plan
+  // kinds -- counted in ModuleResult::store_corrupt_evictions.
+  auto cp = workload::make_corpus(13, 30);
+  StoreRun ref = run_corpus(cp, std::make_shared<AnalysisCache>());
+  fs::path dir = fresh_dir("store_analysis_reject");
+  {
+    auto cache = std::make_shared<AnalysisCache>();
+    cache->attach_store(std::make_shared<ArtifactStore>(dir.string()));
+    run_corpus(cp, cache, /*record_tier_only=*/true);
+  }
+  std::size_t replaced = 0;
+  {
+    ArtifactStore st(dir.string(), /*async_spill=*/false);
+    for (const auto& e : ArtifactStore::scan(dir.string(), /*verify=*/false)) {
+      if (e.kind != Kind::kAnalysis) continue;
+      st.evict(Kind::kAnalysis, e.key);
+      st.put(Kind::kAnalysis, e.key, sample_payload(3));
+      ++replaced;
+    }
+  }
+  ASSERT_GT(replaced, 0u);
+
+  auto cache = std::make_shared<AnalysisCache>();
+  auto disk = std::make_shared<ArtifactStore>(dir.string());
+  cache->attach_store(disk);
+  StoreRun b = run_corpus(cp, cache, /*record_tier_only=*/true);
+  expect_same_image(ref.img, b.img, "rebuilt after rejected records");
+  EXPECT_EQ(disk->stats().corrupt_evictions, replaced);
+  EXPECT_EQ(b.mod.store_corrupt_evictions, replaced);
+}
+
+// -- Codec properties over every kind the two-tier lookup serves --------
+
+// The largest record of each kind from one record-tier run.
+const std::map<Kind, std::vector<std::uint8_t>>& sample_records() {
+  static const auto records = [] {
+    fs::path dir = fresh_dir("store_codec_samples");
+    {
+      auto cache = std::make_shared<AnalysisCache>();
+      cache->attach_store(std::make_shared<ArtifactStore>(dir.string()));
+      run_corpus(workload::make_corpus(19, 20), cache,
+                 /*record_tier_only=*/true);
+    }
+    std::map<Kind, std::vector<std::uint8_t>> out;
+    ArtifactStore st(dir.string(), /*async_spill=*/false);
+    for (const auto& e : ArtifactStore::scan(dir.string(), /*verify=*/true)) {
+      std::optional<std::vector<std::uint8_t>> p = st.get(e.kind, e.key);
+      if (p && p->size() > out[e.kind].size()) out[e.kind] = std::move(*p);
+    }
+    return out;
+  }();
+  return records;
+}
+
+// decode then encode through `kind`'s codec; nullopt when decode
+// rejects. A plan decodes for `nreqs` requests, as resolve_module would.
+std::optional<std::vector<std::uint8_t>> reencode(
+    Kind kind, std::span<const std::uint8_t> payload, std::size_t nreqs) {
+  auto via = [&](const auto& codec)
+      -> std::optional<std::vector<std::uint8_t>> {
+    auto value = codec.decode(payload);
+    if (!value) return std::nullopt;
+    return codec.encode(*value);
+  };
+  switch (kind) {
+    case Kind::kAnalysis:
+      return via(AnalysisCache::EntryCodec{});
+    case Kind::kCraftMemo:
+      return via(engine::CraftMemoCodec{});
+    case Kind::kHarvest:
+      return via(gadgets::HarvestCodec{});
+    case Kind::kResolvedPlan: {
+      Image img;
+      gadgets::GadgetPool pool(&img, 1);
+      return via(gadgets::PlanCodec{&pool, nreqs});
+    }
+    default:
+      ADD_FAILURE() << "no codec for " << store::kind_name(kind);
+      return std::nullopt;
+  }
+}
+
+class CodecPropertyTest : public ::testing::TestWithParam<Kind> {};
+
+TEST_P(CodecPropertyTest, RoundTripsAndRejectsTruncation) {
+  const Kind kind = GetParam();
+  auto it = sample_records().find(kind);
+  ASSERT_NE(it, sample_records().end()) << "no record spilled";
+  const std::vector<std::uint8_t>& p = it->second;
+  ASSERT_FALSE(p.empty());
+  std::size_t nreqs = 0;
+  if (kind == Kind::kResolvedPlan) nreqs = binio::Reader(p).vu64();
+
+  // encode(decode(encode(x))) == encode(x), with x = decode(p).
+  std::optional<std::vector<std::uint8_t>> once = reencode(kind, p, nreqs);
+  ASSERT_TRUE(once.has_value()) << "a spilled record does not decode";
+  EXPECT_EQ(*once, p) << "the encoding is not canonical";
+  std::optional<std::vector<std::uint8_t>> twice =
+      reencode(kind, *once, nreqs);
+  ASSERT_TRUE(twice.has_value());
+  EXPECT_EQ(*twice, *once);
+
+  // Every truncation decodes to null without throwing: 64 evenly spaced
+  // lengths plus each length in the last 16 bytes.
+  std::set<std::size_t> lengths;
+  for (std::size_t i = 0; i < 64; ++i) lengths.insert(p.size() * i / 64);
+  for (std::size_t k = 1; k <= 16 && k <= p.size(); ++k)
+    lengths.insert(p.size() - k);
+  for (std::size_t n : lengths) {
+    std::optional<std::vector<std::uint8_t>> got;
+    EXPECT_NO_THROW(
+        got = reencode(kind, std::span<const std::uint8_t>(p.data(), n), nreqs))
+        << "truncated to " << n << " of " << p.size() << " bytes";
+    EXPECT_FALSE(got.has_value())
+        << "decoded a payload truncated to " << n << " of " << p.size()
+        << " bytes";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryLookupKind, CodecPropertyTest,
+    ::testing::Values(Kind::kAnalysis, Kind::kCraftMemo, Kind::kHarvest,
+                      Kind::kResolvedPlan),
+    [](const ::testing::TestParamInfo<Kind>& info) {
+      return std::string(store::kind_name(info.param));
+    });
 
 TEST(ArtifactStoreTest, RetentionPruneEvictsByAgeThenLru) {
   fs::path dir = fresh_dir("store_retention");
