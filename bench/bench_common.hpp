@@ -172,16 +172,10 @@ inline Memory load_counted_loop(const CountedLoop& cl) {
 // `lowered_share` is the fraction of block dispatches executed as
 // pre-lowered µop streams (DESIGN.md §11) -- ~1.0 in the zero-hook
 // stratum, 0 when lowering is off or a hook demotes.
-// `fused_share` is the fraction of executed instructions covered by
-// fused macro-ops (each fused execution retires a producer+jcc pair),
-// and `arena_resident_share` the fraction of lowered dispatches served
-// from contiguous trace-arena streams (DESIGN.md §14).
 struct CpuProbe {
   double insns_per_s = 0.0;
   double chain_hit_rate = 0.0;
   double lowered_share = 0.0;
-  double fused_share = 0.0;
-  double arena_resident_share = 0.0;
 };
 
 // Which executor the probe pins (bench_micro's comparison): the lowered
@@ -207,12 +201,6 @@ inline CpuProbe cpu_probe(std::uint64_t loop_iters = 200'000,
   if (cs.dispatches > 0)
     p.lowered_share = static_cast<double>(cs.lowered_dispatches) /
                       static_cast<double>(cs.dispatches);
-  if (cpu.insn_count() > 0)
-    p.fused_share = 2.0 * static_cast<double>(cs.fused_execs) /
-                    static_cast<double>(cpu.insn_count());
-  if (cs.lowered_dispatches > 0)
-    p.arena_resident_share = static_cast<double>(cs.arena_dispatches) /
-                             static_cast<double>(cs.lowered_dispatches);
   if (st != CpuStatus::kHalted || s <= 0.0) return p;
   p.insns_per_s = static_cast<double>(cpu.insn_count()) / s;
   return p;
@@ -227,20 +215,16 @@ inline double cpu_insns_per_sec(std::uint64_t loop_iters = 200'000,
 // `cpu_minsns_per_s` (executed Minsns/s of the simulated CPU),
 // `cpu_chain_hit_rate` (threaded-dispatch link hit rate),
 // `cpu_lowered_minsns_per_s` (same probe, stated explicitly as the
-// lowered fast path), `cpu_lowered_dispatch_share` (fraction of
-// block dispatches that ran as µop streams), `cpu_fused_share`
-// (instructions retired through fused macro-ops) and
-// `cpu_arena_resident_share` (lowered dispatches served from the trace
-// arena, DESIGN.md §14) so the perf trajectory of the execution engine
-// is recorded alongside each experiment (DESIGN.md §4/§6/§10/§11/§14).
+// lowered fast path) and `cpu_lowered_dispatch_share` (fraction of
+// block dispatches that ran as µop streams) so the perf trajectory of
+// the execution engine is recorded alongside each experiment
+// (DESIGN.md §4/§6/§10/§11).
 inline void emit_cpu_throughput(BenchJson& json) {
   CpuProbe p = cpu_probe();
   json.metric("cpu_minsns_per_s", p.insns_per_s / 1e6);
   json.metric("cpu_chain_hit_rate", p.chain_hit_rate);
   json.metric("cpu_lowered_minsns_per_s", p.insns_per_s / 1e6);
   json.metric("cpu_lowered_dispatch_share", p.lowered_share);
-  json.metric("cpu_fused_share", p.fused_share);
-  json.metric("cpu_arena_resident_share", p.arena_resident_share);
 }
 
 // AnalysisCache telemetry (DESIGN.md §7): every bench JSON records the

@@ -212,14 +212,10 @@ int main(int argc, char** argv) {
   json.metric("cpu_chain_hit_rate", zero_hook.chain_hit_rate);
   // Executors (DESIGN.md §11): the default zero-hook probe runs the
   // lowered µop path; the central-loop reference below measures its
-  // win. The lowered keys are gated by the Release CI job alongside
+  // win. The Release CI job gates cpu_lowered_dispatch_share alongside
   // cpu_minsns_per_s.
   json.metric("cpu_lowered_minsns_per_s", zero_hook_m);
   json.metric("cpu_lowered_dispatch_share", zero_hook.lowered_share);
-  // Trace-arena residency and macro-op fusion coverage (DESIGN.md §14);
-  // both gated by the Release CI job (--check-min).
-  json.metric("cpu_fused_share", zero_hook.fused_share);
-  json.metric("cpu_arena_resident_share", zero_hook.arena_resident_share);
   {
     CpuProbe central = cpu_probe(200'000, {}, Dispatch::kCentral);
     json.metric("cpu_central_minsns_per_s", central.insns_per_s / 1e6);

@@ -37,53 +37,6 @@ std::shared_ptr<const CodeCache> build_code_cache(
       a = next;
     }
   }
-  // Eager packing pass (DESIGN.md §14): over a frozen snapshot the
-  // chain-linked runs are known statically -- a block's fallthrough
-  // successor is start+byte_len and a direct transfer's target is the
-  // folded absolute in its final µop -- so every run packs up front and
-  // importing clones start with contiguous, fused arena streams.
-  for (DecodedBlock& root : cc->arena_) {
-    if (root.arena_uops != nullptr) continue;
-    DecodedBlock* run[kMaxTraceBlocks];
-    std::size_t nrun = 0;
-    std::size_t total = 0;
-    DecodedBlock* cur = &root;
-    while (cur != nullptr && nrun < kMaxTraceBlocks &&
-           total + cur->uops.size() <= kMaxTraceUops &&
-           cur->arena_uops == nullptr) {
-      bool cycle = false;
-      for (std::size_t i = 0; i < nrun; ++i)
-        if (run[i] == cur) {
-          cycle = true;
-          break;
-        }
-      if (cycle) break;
-      run[nrun++] = cur;
-      total += cur->uops.size();
-      std::uint64_t succ;
-      switch (cur->term) {
-        case DecodedBlock::kTermFall:
-        case DecodedBlock::kTermCond:
-          succ = cur->start + cur->byte_len;
-          break;
-        case DecodedBlock::kTermTaken:
-          succ = static_cast<std::uint64_t>(cur->uops.back().imm);
-          break;
-        default:  // kTermIndirect: data-dependent successor
-          cur = nullptr;
-          continue;
-      }
-      auto it = cc->index_.find(succ);
-      // Whole-block entries only: the successor must be a block start,
-      // not the interior of an overlapping decode. The builder owns the
-      // blocks it is annotating; Entry's const view is for importers.
-      cur = (it != cc->index_.end() && it->second.index == 0)
-                ? const_cast<DecodedBlock*>(it->second.block)
-                : nullptr;
-    }
-    if (nrun != 0)
-      cc->trace_.pack(std::span<DecodedBlock* const>(run, nrun));
-  }
   return cc;
 }
 

@@ -58,13 +58,6 @@ class CodeCache {
 
   std::deque<DecodedBlock> arena_;  // node-stable; Entry points in here
   std::unordered_map<std::uint64_t, Entry> index_;
-  // Eagerly packed trace-arena segments (DESIGN.md §14): the prewarm
-  // sweep chains blocks by their static successors and packs each run,
-  // so every cached block carries its arena annotation and importing
-  // clones start packed (copy-on-first-fetch keeps arena_uops pointing
-  // in here; the cache is read-only and outlives the copies via the
-  // importer's shared_ptr).
-  TraceArena trace_;
   std::uint64_t epoch_ = 0;
 };
 

@@ -252,10 +252,6 @@ bool Cpu::import_cache(std::shared_ptr<const CodeCache> cache) {
   // not imply equal bytes without a common frozen ancestor.
   if (!cache || cache->epoch() == 0 || mem_->lineage() != cache->epoch())
     return false;
-  // Replacing an already-imported cache drops the old one, and local
-  // copies of its blocks carry arena annotations pointing into the old
-  // cache's trace segments -- sever them all before the switch.
-  if (imported_ && imported_ != cache) invalidate_decode_cache();
   imported_ = std::move(cache);
   return true;
 }
@@ -403,40 +399,6 @@ CpuStatus Cpu::run_blocks(std::uint64_t end) {
   return CpuStatus::kBudgetExceeded;
 }
 
-// Shared head of every fused macro-op case in run_lowered. It must run
-// before the case's own state mutation (seam revalidation and the
-// consumer budget check are demotion triggers), and the demotion target
-// is a label local to the dispatch loop -- hence a macro rather than a
-// helper call.
-#define RAINDROP_FUSED_HEAD()                      \
-  seam_t = nullptr;                                \
-  if (u.aux & kSeamBit) [[unlikely]] {             \
-    seam_t = seam_target(*b, u);                   \
-    if (seam_t == nullptr) goto fused_demote;      \
-  }                                                \
-  /* Budget covers only the producer: the consumer \
-     would overrun. */                             \
-  if (count >= end) [[unlikely]]                   \
-    goto fused_demote;                             \
-  ++count  // the consumer (the producer was counted at loop top)
-
-DecodedBlock* Cpu::seam_target(DecodedBlock& b, const isa::MicroOp& u) {
-  // Seam-fused macro-op: the consumer lives in the fall successor.
-  // Revalidate the live link exactly like block_done would, then
-  // compare the target's lone µop semantically against the fused
-  // encoding -- a re-decoded identical block still fuses, a smashed or
-  // diverged one demotes (nullptr).
-  std::uint64_t ep = mem_->write_epoch();
-  DecodedBlock* t = b.fall.target;
-  if (t == nullptr || (b.fall.epoch != ep && !block_valid(*t)) ||
-      t->uops.size() != 1 || t->uops[0].op != isa::UOp::kJcc ||
-      t->uops[0].cc != u.cc || t->uops[0].imm != u.disp ||
-      t->uops[0].next_pc != u.next_pc)
-    return nullptr;
-  b.fall.epoch = ep;
-  return t;
-}
-
 CpuStatus Cpu::run_lowered(std::uint64_t end) {
   // The zero-hook stratum's whole execution loop: central fetch,
   // successor-link chaining (block_done below) and a dense dispatch
@@ -466,29 +428,21 @@ CpuStatus Cpu::run_lowered(std::uint64_t end) {
   std::uint32_t idx = 0;
   DecodedBlock::Link* memo = nullptr;  // link to backfill after a fetch
   RtcEntry* rtc_memo = nullptr;
-  DecodedBlock* seam_t = nullptr;  // seam-fused consumer, set per macro-op
   std::uint64_t* const regs = regs_.data();
   constexpr int kRsp = static_cast<int>(Reg::RSP);
   std::uint64_t count = insn_count_;
   // Hot-path counters are batched in locals and flushed with the
   // instruction count at every observable exit: per-dispatch memory
-  // RMWs on stats_ would eat a measurable slice of the fusion win.
-  std::uint64_t fused = 0;
+  // RMWs on stats_ would sit on the chained transition's critical path.
+  // Every dispatch here is lowered, so one local feeds both counters.
   std::uint64_t dispatches = 0;
-  std::uint64_t lowered = 0;
-  std::uint64_t arena_hits = 0;
   std::uint64_t chained = 0;
-  // A fast-path block re-entry is one dispatch, lowered, from the
-  // arena, via a chain hit -- counted once here and fanned out at sync.
-  std::uint64_t fast_blocks = 0;
   auto sync = [&] {
     insn_count_ = count;
-    stats_.fused_execs += fused;
-    stats_.dispatches += dispatches + fast_blocks;
-    stats_.lowered_dispatches += lowered + fast_blocks;
-    stats_.arena_dispatches += arena_hits + fast_blocks;
-    stats_.chain_hits += chained + fast_blocks;
-    fused = dispatches = lowered = arena_hits = chained = fast_blocks = 0;
+    stats_.dispatches += dispatches;
+    stats_.lowered_dispatches += dispatches;
+    stats_.chain_hits += chained;
+    dispatches = chained = 0;
   };
   for (;;) {
     if (b == nullptr) {
@@ -514,55 +468,17 @@ CpuStatus Cpu::run_lowered(std::uint64_t end) {
     memo = nullptr;
     rtc_memo = nullptr;
     ++dispatches;
-    ++lowered;
     {
-    // Stream selection (DESIGN.md §14): packed blocks dispatch their
-    // contiguous trace-arena slice (fused macro-ops, successor-ordered
-    // memory); unpacked blocks dispatch the per-block unfused stream and
-    // accrue heat toward packing. A mid-block entry (a back edge into a
-    // loop body is the canonical hot case) translates its unfused index
-    // through arena_map -- landing on a consumed consumer slot (kNoUop)
-    // demotes just this dispatch to the reference stream.
     // The stream is walked by pointer, not index: µops are 40 bytes, so
     // an indexed loop pays an address multiply per step that the
-    // compiler cannot strength-reduce (the index escapes into the
-    // demotion paths below).
-    const isa::MicroOp* up = b->arena_uops;
-    const isa::MicroOp* uend;
-    if (up == nullptr) [[unlikely]] {
-      if (++b->heat >= kTraceHeat) {
-        pack_trace(b);
-        up = b->arena_uops;
-      }
-    }
-    if (up != nullptr) [[likely]] {
-      ++arena_hits;
-      uend = up + b->arena_n;
-      if (idx != 0) {
-        std::uint16_t m =
-            idx < b->arena_map.size() ? b->arena_map[idx] : kNoUop;
-        if (m == kNoUop) [[unlikely]] {
-          up = b->uops.data() + idx;
-          uend = b->uops.data() + b->uops.size();
-        } else {
-          up += m;
-        }
-      }
-    } else {
-      up = b->uops.data() + idx;
-      uend = b->uops.data() + b->uops.size();
-    }
-    exec_loop:
+    // compiler cannot strength-reduce.
+    const isa::MicroOp* up = b->uops.data() + idx;
+    const isa::MicroOp* const uend = b->uops.data() + b->uops.size();
     for (; up < uend; ++up) {
       const isa::MicroOp& u = *up;
       if (count >= end) [[unlikely]] {
         sync();
-        // A fused macro-op has not executed its producer yet: the pause
-        // must land at the producer's address (the unfused stream holds
-        // it at aux), exactly where the reference path would stop.
-        const isa::MicroOp* pu =
-            u.op >= UOp::kFusedFirst ? &b->uops[u.aux & 0x7fff] : &u;
-        rip_ = pu->next_pc - pu->len;
+        rip_ = u.next_pc - u.len;
         return CpuStatus::kBudgetExceeded;
       }
       ++count;
@@ -977,111 +893,6 @@ CpuStatus Cpu::run_lowered(std::uint64_t end) {
         rip_ = mem_->read_fixed<8>(regs[kRsp]);
         regs[kRsp] += 8;
         goto block_done;
-
-      // Fused flags-producer + kJcc macro-ops (DESIGN.md §14). They
-      // appear only in trace-arena streams; every demotion trigger is
-      // checked by RAINDROP_FUSED_HEAD BEFORE any architectural state
-      // mutates, so re-executing the pair from the unfused reference
-      // stream (uops/n/idx reset, producer count undone) is
-      // bit-identical -- critical for kDecJcc, whose producer writes a
-      // register. Each shape gets its own case body (one predicted
-      // dispatch, not a nested re-dispatch) and they share the branch
-      // resolution tail below.
-      case UOp::kCmpJccRR: {
-        RAINDROP_FUSED_HEAD();
-        std::uint64_t a = regs[u.a], v = regs[u.b];
-        set_flags_sub(a, v, 0, a - v);
-        goto fused_branch;
-      }
-      case UOp::kCmpJccRI: {
-        RAINDROP_FUSED_HEAD();
-        std::uint64_t a = regs[u.a];
-        std::uint64_t v = static_cast<std::uint64_t>(u.imm);
-        set_flags_sub(a, v, 0, a - v);
-        goto fused_branch;
-      }
-      case UOp::kTestJccRR:
-        RAINDROP_FUSED_HEAD();
-        set_flags_logic(regs[u.a] & regs[u.b]);
-        goto fused_branch;
-      case UOp::kTestJccRI:
-        RAINDROP_FUSED_HEAD();
-        set_flags_logic(regs[u.a] & static_cast<std::uint64_t>(u.imm));
-        goto fused_branch;
-      case UOp::kDecJcc: {
-        RAINDROP_FUSED_HEAD();
-        std::uint64_t cf = flags_ & isa::kCF;  // DEC preserves CF
-        std::uint64_t a = regs[u.a], r = a - 1;
-        set_flags_sub(a, 1, 0, r);
-        flags_ = (flags_ & ~std::uint64_t(isa::kCF)) | cf;
-        regs[u.a] = r;
-        goto fused_branch;
-      }
-      case UOp::kAddJccRR: {
-        RAINDROP_FUSED_HEAD();
-        std::uint64_t a = regs[u.a], v = regs[u.b];
-        std::uint64_t r = a + v;
-        set_flags_add(a, v, 0, r);
-        regs[u.a] = r;
-        goto fused_branch;
-      }
-      case UOp::kAddJccRI: {
-        RAINDROP_FUSED_HEAD();
-        std::uint64_t a = regs[u.a];
-        std::uint64_t v = static_cast<std::uint64_t>(u.imm);
-        std::uint64_t r = a + v;
-        set_flags_add(a, v, 0, r);
-        regs[u.a] = r;
-        goto fused_branch;
-      }
-      fused_branch: {
-        ++fused;
-        if (eval_cond(static_cast<Cond>(u.cc))) {
-          if (seam_t == nullptr) [[likely]] {
-            // Hot loop back edge: an intra-block fused branch whose
-            // taken link is trusted (epoch-current) and leads into a
-            // packed block re-enters the arena stream directly -- no
-            // generic transition, no stream re-selection, and no rip_
-            // store (memory reads cannot fault, so every observable
-            // exit re-materializes rip_ before it is read). Anything
-            // less certain falls through to block_done's full logic.
-            DecodedBlock::Link& slot = b->taken;
-            DecodedBlock* t = slot.target;
-            if (t != nullptr && slot.epoch == mem_->write_epoch() &&
-                t->arena_uops != nullptr &&
-                slot.index < t->arena_map.size()) {
-              std::uint16_t m = t->arena_map[slot.index];
-              if (m != kNoUop) [[likely]] {
-                ++fast_blocks;
-                b = t;
-                up = t->arena_uops + m;
-                uend = t->arena_uops + t->arena_n;
-                goto exec_loop;
-              }
-            }
-          } else {
-            b = seam_t;  // seam: chain onward from the consumer
-          }
-          rip_ = static_cast<std::uint64_t>(u.disp);
-          goto block_done;
-        }
-        rip_ = u.next_pc;
-        if (seam_t != nullptr) b = seam_t;
-        goto block_done;
-      }
-      fused_demote: {
-        // Undo the producer's loop-top count and re-enter the unfused
-        // reference stream at the producer -- no state has mutated, so
-        // the replay is exact. A budget demote then pauses at the
-        // consumer's address after the producer executes, exactly like
-        // the reference; a seam demote finishes the block unfused and
-        // chains through the ordinary fall-link path.
-        --count;
-        const std::uint32_t pidx = u.aux & 0x7fff;
-        up = b->uops.data() + pidx;
-        uend = b->uops.data() + b->uops.size();
-        goto exec_loop;
-      }
     }
     // Store-class µops land here: a memory write may have smashed this
     // very block. Revalidate so in-block code writes take effect exactly
@@ -1158,55 +969,6 @@ CpuStatus Cpu::run_lowered(std::uint64_t end) {
   }
   next_block:;
   }
-}
-
-#undef RAINDROP_FUSED_HEAD
-
-void Cpu::pack_trace(DecodedBlock* b) {
-  // Collect the chain-linked run rooted at b: follow the successor link
-  // the block-end dispatch would take for straight-line code (fall for
-  // fallthrough/conditional blocks -- the not-taken trace layout --
-  // taken for unconditional direct transfers), admitting only validated
-  // whole-block entries (index 0) that are not yet packed. Indirect
-  // terminators end the run: their successors are data-dependent.
-  DecodedBlock* run[kMaxTraceBlocks];
-  std::size_t nrun = 0;
-  std::size_t total = 0;
-  DecodedBlock* cur = b;
-  while (cur != nullptr && nrun < kMaxTraceBlocks &&
-         total + cur->uops.size() <= kMaxTraceUops &&
-         cur->arena_uops == nullptr) {
-    bool cycle = false;
-    for (std::size_t i = 0; i < nrun; ++i)
-      if (run[i] == cur) {
-        cycle = true;
-        break;
-      }
-    if (cycle) break;
-    run[nrun++] = cur;
-    total += cur->uops.size();
-    DecodedBlock::Link* slot = nullptr;
-    switch (cur->term) {
-      case DecodedBlock::kTermTaken:
-        slot = &cur->taken;
-        break;
-      case DecodedBlock::kTermCond:
-      case DecodedBlock::kTermFall:
-        slot = &cur->fall;
-        break;
-      default:  // kTermIndirect
-        slot = nullptr;
-        break;
-    }
-    cur = (slot != nullptr && slot->target != nullptr && slot->index == 0 &&
-           block_valid(*slot->target))
-              ? slot->target
-              : nullptr;
-  }
-  if (nrun == 0) return;
-  trace_.pack(std::span<DecodedBlock* const>(run, nrun));
-  stats_.arena_segments = trace_.segment_count();
-  stats_.arena_uops = trace_.uop_count();
 }
 
 CpuStatus Cpu::step() {

@@ -43,7 +43,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cpu/trace_arena.hpp"
 #include "isa/encode.hpp"
 #include "isa/insn.hpp"
 #include "isa/lower.hpp"
@@ -137,22 +136,6 @@ struct DecodedBlock {
   };
   Link fall;   // fallthrough / not-taken successor
   Link taken;  // direct branch / direct call target
-  // Trace-arena view (DESIGN.md §14): once hot (or eagerly in
-  // build_code_cache), this block's µops are relocated into a
-  // contiguous successor-ordered TraceArena segment with adjacent
-  // flags-producer+kJcc pairs fused. `arena_uops` points at this
-  // block's slice (nullptr while unpacked), `arena_n` is the slice
-  // length (≤ uops.size() -- fusion shrinks it), and `arena_map`
-  // translates unfused instruction indices to arena positions (kNoUop
-  // marks a consumed consumer slot: that entry point dispatches the
-  // unfused reference stream). The annotation survives CodeCache import
-  // verbatim -- arena segments live in the shared cache and are
-  // read-only, like the µops themselves. `heat` counts lowered
-  // dispatches until the kTraceHeat packing threshold.
-  const isa::MicroOp* arena_uops = nullptr;
-  std::uint32_t arena_n = 0;
-  std::uint16_t heat = 0;
-  std::vector<std::uint16_t> arena_map;
   // Terminator class, pre-classified at decode time so block-end chain
   // dispatch never reloads the final Insn: which link slot (if any)
   // covers the outgoing transition.
@@ -239,7 +222,8 @@ class Cpu {
   // page generations with different bytes. Imported blocks are copied
   // into the local cache lazily, on first fetch of an address the cache
   // covers, after their page-generation snapshot is revalidated against
-  // this clone's pages.
+  // this clone's pages. Importing again swaps the cache consulted on a
+  // miss; copies already made hold no pointer into the old one and stay.
   bool import_cache(std::shared_ptr<const CodeCache> cache);
 
   // Drops every cached superblock (and all successor links / the
@@ -252,9 +236,6 @@ class Cpu {
     addr_index_.clear();
     arena_.clear();
     rtc_.fill(RtcEntry{});
-    // Arena segments die with the blocks that point into them: nothing
-    // can reference a segment once every annotated block is gone.
-    trace_.clear();
   }
 
   // Decodes superblocks over [lo, hi) without executing, so a later run
@@ -271,12 +252,9 @@ class Cpu {
     std::uint64_t import_hits = 0;       // blocks copied from a CodeCache
     std::uint64_t central_dispatches = 0;  // run() dispatches via fetch
     std::uint64_t lowered_dispatches = 0;  // dispatches run as µop streams
-    std::uint64_t arena_dispatches = 0;    // lowered dispatches from a
-                                           // packed trace-arena stream
-    std::uint64_t fused_execs = 0;         // fused macro-ops executed
-                                           // (each covers 2 instructions)
-    std::uint64_t arena_segments = 0;      // trace segments packed locally
-    std::uint64_t arena_uops = 0;          // µops resident in local segments
+    // Always 0 (no trace arena or fused µops); only perfbench reads them.
+    std::uint64_t arena_dispatches = 0;
+    std::uint64_t fused_execs = 0;
   };
   const CacheStats& cache_stats() const { return stats_; }
 
@@ -310,15 +288,6 @@ class Cpu {
   // whole fetch/chain/execute loop in one frame, so block-to-block
   // transitions never leave the executor (DESIGN.md §11).
   CpuStatus run_lowered(std::uint64_t end_count);
-  // Collects the chain-linked run rooted at `b` (validated fall/taken
-  // successors entered at index 0) and packs it into trace_
-  // (DESIGN.md §14). Called from run_lowered once b crosses kTraceHeat.
-  void pack_trace(DecodedBlock* b);
-  // Revalidates the fall link of a seam-fused macro-op and checks the
-  // consumer block still holds the lone kJcc the fusion encoded.
-  // Returns the consumer (refreshing the link epoch) or nullptr to
-  // demote this dispatch to the unfused reference stream.
-  DecodedBlock* seam_target(DecodedBlock& b, const isa::MicroOp& u);
 
   Memory* mem_;
   std::array<std::uint64_t, isa::kNumRegs> regs_{};
@@ -360,10 +329,6 @@ class Cpu {
                                     (64 - kRtcBits));
   }
   std::array<RtcEntry, std::size_t{1} << kRtcBits> rtc_{};
-  // Locally packed trace segments (DESIGN.md §14). Segment lifetime is
-  // bound to arena_: both are cleared only by invalidate_decode_cache,
-  // so a block's arena annotation can never outlive its segment.
-  TraceArena trace_;
   std::shared_ptr<const CodeCache> imported_;
   CacheStats stats_;
 };

@@ -189,47 +189,4 @@ MicroOp lower(const Insn& i, std::uint64_t pc, std::uint8_t len) {
   return u;
 }
 
-bool fusable_flags_producer(UOp op) {
-  switch (op) {
-    case UOp::kCmpRR:
-    case UOp::kCmpRI:
-    case UOp::kTestRR:
-    case UOp::kTestRI:
-    case UOp::kDecR:
-    case UOp::kAddRR:
-    case UOp::kAddRI:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool can_fuse(const MicroOp& prod, const MicroOp& jcc) {
-  return jcc.op == UOp::kJcc && fusable_flags_producer(prod.op) &&
-         prod.next_pc == jcc.next_pc - jcc.len;
-}
-
-MicroOp fuse_pair(const MicroOp& prod, const MicroOp& jcc,
-                  std::uint16_t aux) {
-  MicroOp u;
-  switch (prod.op) {
-    case UOp::kCmpRR: u.op = UOp::kCmpJccRR; break;
-    case UOp::kCmpRI: u.op = UOp::kCmpJccRI; break;
-    case UOp::kTestRR: u.op = UOp::kTestJccRR; break;
-    case UOp::kTestRI: u.op = UOp::kTestJccRI; break;
-    case UOp::kDecR: u.op = UOp::kDecJcc; break;
-    case UOp::kAddRR: u.op = UOp::kAddJccRR; break;
-    default: u.op = UOp::kAddJccRI; break;  // kAddRI (can_fuse gated)
-  }
-  u.a = prod.a;
-  u.b = prod.b;
-  u.imm = prod.imm;
-  u.cc = jcc.cc;
-  u.disp = jcc.imm;      // folded absolute taken target
-  u.next_pc = jcc.next_pc;
-  u.len = jcc.len;
-  u.aux = aux;
-  return u;
-}
-
 }  // namespace raindrop::isa

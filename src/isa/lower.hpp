@@ -84,22 +84,7 @@ enum class UOp : std::uint8_t {
   kCallR,
   kRet,
 
-  // Fused macro-ops (DESIGN.md §14): a non-faulting register-only flags
-  // producer plus the kJcc that consumes it, collapsed into one dispatch.
-  // They appear only in trace-arena streams (DecodedBlock::uops stays in
-  // unfused reference form); `aux` carries the producer's index in the
-  // unfused stream so any observation point (budget pause, hook, step)
-  // demotes and re-executes the pair from the reference form
-  // bit-identically. Encoding: a/b/imm are the producer's operands, cc
-  // is the branch condition, disp the folded taken target, next_pc/len
-  // the branch's.
-  kCmpJccRR, kCmpJccRI,
-  kTestJccRR, kTestJccRI,
-  kDecJcc,
-  kAddJccRR, kAddJccRI,
-
   kCount,
-  kFusedFirst = kCmpJccRR,
 };
 
 // Pre-classified addressing recipe. rip-relative operands never reach
@@ -125,10 +110,6 @@ struct MicroOp {
   std::uint8_t index = 0;  // addressing index slot
   std::uint8_t scale = 0;  // log2 addressing scale
   std::uint8_t len = 0;    // encoded length (pc = next_pc - len)
-  // Fused macro-ops only: the producer's index in the block's unfused
-  // µop stream (low 15 bits) plus the seam marker bit (the consumer
-  // lives in the fall successor block) -- see trace_arena.hpp.
-  std::uint16_t aux = 0;
   std::int64_t imm = 0;    // immediate / folded absolute branch target
   std::int64_t disp = 0;   // addressing displacement, rip folded in
   std::uint64_t next_pc = 0;  // absolute fallthrough address
@@ -140,22 +121,5 @@ struct MicroOp {
 // decoder rejects them -- but a defensive kBadOp mirrors exec()'s
 // "bad opcode" fault).
 MicroOp lower(const Insn& insn, std::uint64_t pc, std::uint8_t len);
-
-// Fusion legality (DESIGN.md §14). A producer is fusable when it is a
-// register-only flags writer that cannot fault and cannot be observed
-// between itself and an adjacent kJcc (no memory access, no control
-// transfer, no flags read before the write).
-bool fusable_flags_producer(UOp op);
-
-// True when `prod` at some pc is immediately followed by the branch
-// `jcc` (prod's fallthrough is jcc's own address) and the pair is legal
-// to fuse into one macro-op.
-bool can_fuse(const MicroOp& prod, const MicroOp& jcc);
-
-// Builds the fused macro-op for a legal (prod, jcc) pair. `aux` is the
-// producer's index in the unfused stream, optionally with the seam bit
-// (trace_arena.hpp) when the consumer lives in the fall successor.
-MicroOp fuse_pair(const MicroOp& prod, const MicroOp& jcc,
-                  std::uint16_t aux);
 
 }  // namespace raindrop::isa

@@ -652,6 +652,92 @@ TEST(Cpu, SiblingImportRejectedDescendantAccepted) {
   EXPECT_TRUE(ca2.import_cache(sibling_cache));
 }
 
+// Re-importing into a warm Cpu: a clone runs partway on cache A, then
+// adopts cache B (built separately over the same snapshot) and runs to
+// halt. The blocks copied from A stay in the local cache alongside B's,
+// and the run must match the central reference exactly.
+TEST(Cpu, ReimportIntoWarmCpuMatchesReference) {
+  workload::RandomFunSpec spec;
+  spec.control = 1;
+  spec.seed = 5;
+  auto rf = workload::make_random_fun(spec);
+  const std::string& name = rf.name;
+  for (bool rop : {false, true}) {
+    Image img = minic::compile(rf.module);
+    if (rop) {
+      engine::ObfuscationEngine eng(&img, rop::rop_k(1.0, 3));
+      ASSERT_TRUE(eng.rewrite_function(name).ok);
+    }
+    std::uint64_t fn = img.function(name)->addr;
+    LoadedImage li = img.load_shared();
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;
+    for (const FunctionSym& f : img.functions())
+      if (f.size > 0) ranges.emplace_back(f.addr, f.addr + f.size);
+    ranges.emplace_back(kHltPad, kHltPad + 1);
+    auto cache_a = build_code_cache(li.mem, ranges);
+    auto cache_b = build_code_cache(li.mem, ranges);
+    ASSERT_NE(cache_a, nullptr);
+    ASSERT_NE(cache_b, nullptr);
+
+    // Runs one call on a fresh clone. `split` == 0 is the central
+    // reference (no import, no threading); otherwise the clone imports
+    // cache A, runs `split` instructions, imports cache B when `reimport`
+    // is set, and finishes.
+    struct State {
+      CpuStatus status = CpuStatus::kRunning;
+      std::array<std::uint64_t, isa::kNumRegs> regs{};
+      std::uint64_t rip = 0, flags = 0, insns = 0;
+      std::vector<std::int64_t> probes;
+      Cpu::CacheStats stats;
+      bool operator==(const State& o) const {
+        return status == o.status && regs == o.regs && rip == o.rip &&
+               flags == o.flags && insns == o.insns && probes == o.probes;
+      }
+    };
+    auto call = [&](std::uint64_t arg, std::uint64_t split, bool reimport) {
+      Memory mem = li.mem.clone();
+      Cpu cpu(&mem);
+      cpu.set_threaded_dispatch(split != 0);
+      cpu.set_reg(Reg::RDI, arg);
+      std::uint64_t rsp = kStackBase + kStackSize - 64 - 8;
+      mem.write_u64(rsp, kHltPad);
+      cpu.set_reg(Reg::RSP, rsp);
+      cpu.set_rip(fn);
+      State out;
+      if (split != 0) {
+        EXPECT_TRUE(cpu.import_cache(cache_a));
+        EXPECT_EQ(cpu.run(split), CpuStatus::kBudgetExceeded);
+        EXPECT_GT(cpu.cache_stats().import_hits, 0u);
+        if (reimport) EXPECT_TRUE(cpu.import_cache(cache_b));
+      }
+      out.status = cpu.run(10'000'000);
+      for (int r = 0; r < isa::kNumRegs; ++r)
+        out.regs[r] = cpu.reg(static_cast<Reg>(r));
+      out.rip = cpu.rip();
+      out.flags = cpu.flags();
+      out.insns = cpu.insn_count();
+      out.probes = cpu.trace_probes();
+      out.stats = cpu.cache_stats();
+      return out;
+    };
+    for (std::uint64_t arg : {7, 42}) {
+      State ref = call(arg, 0, false);
+      ASSERT_EQ(ref.status, CpuStatus::kHalted) << arg;
+      ASSERT_GT(ref.insns, 1u) << arg;
+      State got = call(arg, ref.insns / 2, true);
+      EXPECT_EQ(got, ref) << "rop=" << rop << " arg=" << arg;
+      EXPECT_GT(got.stats.chain_hits, 0u) << arg;
+      // The blocks already copied from A stay valid: B is consulted only
+      // for addresses the local cache does not hold yet, so the split
+      // run copies exactly as many blocks as one that never re-imports.
+      State single = call(arg, ref.insns / 2, false);
+      EXPECT_EQ(single, ref) << "rop=" << rop << " arg=" << arg;
+      EXPECT_EQ(got.stats.import_hits, single.stats.import_hits) << arg;
+      if (!rop) EXPECT_EQ(got.stats.blocks_built, 0u) << arg;
+    }
+  }
+}
+
 TEST(Cpu, CloneWriteInvalidatesOnlyTouchedImportedPages) {
   auto cp = workload::make_corpus(1, 40);
   ASSERT_GE(cp.runnable.size(), 2u);
@@ -1021,11 +1107,11 @@ std::vector<std::uint8_t> make_fuzz_program(std::uint64_t seed) {
         break;
       }
       case 33: {
-        // Adjacent flags-producer + jcc: the fused macro-op shapes
-        // (DESIGN.md §14). Backward pairs become hot-loop fusion
-        // candidates once packed; forward pairs exercise consumer-slot
-        // entry demotion; case 30's SMC stores can smash either half of
-        // a packed pair mid-run.
+        // Adjacent flags-producer + jcc, the shape of every compiled
+        // loop test. Backward pairs make hot loops whose taken link
+        // chains back into the block; forward pairs branch over one
+        // instruction; case 30's SMC stores can smash either half
+        // mid-run.
         Reg r = reg();
         isa::Insn prod;
         switch (rng() % 4) {
@@ -1179,8 +1265,8 @@ TEST(Cpu, LoweredDifferentialFuzz) {
 TEST(Cpu, LoweredBudgetPauseFuzz) {
   // Tiny budgets force pauses at arbitrary µop positions -- mid-block,
   // on block entry, inside backward loops, and (budget 2 with the
-  // adjacent-pair generator) exactly between the halves of a fused
-  // macro-op, which must demote and pause at the consumer's address.
+  // adjacent-pair generator) exactly between a flags producer and the
+  // jcc that consumes it, which must pause at the jcc's address.
   // The paused architectural state (rip, insn_count, regs) must match
   // the central reference exactly.
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
@@ -1202,21 +1288,22 @@ TEST(Cpu, LoweredBudgetPauseFuzz) {
 }
 
 // ---------------------------------------------------------------------------
-// Trace-arena + macro-op fusion regressions (DESIGN.md §14): the
-// demotion matrix pinned deterministically.
+// Lowered-path regressions: budget pauses, steps, code smashes and hook
+// changes landing mid-run inside chained loops, pinned deterministically
+// against the central reference.
 
-// Single-stepping across a fused pair boundary. After any budget pause
-// -- including one that lands between the producer and the consumer of
-// a packed cmp+jcc -- both Cpu::step() and run(1) must observe exactly
-// the reference interpreter's per-instruction states.
-TEST(Cpu, FusedPairBudgetPauseSingleStep) {
+// Single-stepping inside a cmp+jcc loop. After any budget pause --
+// including one that lands between the cmp and the jcc it feeds -- both
+// Cpu::step() and run(1) must observe exactly the reference
+// interpreter's per-instruction states.
+TEST(Cpu, CmpJccLoopBudgetPauseAndStep) {
   std::size_t body_len = isa::encoded_length(ib::add_i(Reg::RAX, 3)) +
                          isa::encoded_length(ib::dec(Reg::RCX)) +
                          isa::encoded_length(ib::cmp_i(Reg::RCX, 0)) +
                          isa::encoded_length(ib::jcc(Cond::NE, 0));
   std::vector<isa::Insn> prog = {
       ib::mov_i32(Reg::RCX, 60), ib::mov_i32(Reg::RAX, 0),
-      // L: add rax,3 ; dec rcx ; cmp rcx,0 ; jne L -- cmp+jne fuse.
+      // L: add rax,3 ; dec rcx ; cmp rcx,0 ; jne L
       ib::add_i(Reg::RAX, 3), ib::dec(Reg::RCX), ib::cmp_i(Reg::RCX, 0),
       ib::jcc(Cond::NE, -static_cast<std::int64_t>(body_len)), ib::hlt()};
 
@@ -1226,16 +1313,16 @@ TEST(Cpu, FusedPairBudgetPauseSingleStep) {
   ref.load(prog);
   ref.cpu.set_threaded_dispatch(false);
 
-  // Warm phase: enough full loop turns to cross kTraceHeat and pack the
-  // loop block (fused cmp+jne in the arena stream).
+  // Warm phase: enough full loop turns that the lowered executor runs
+  // the loop block and chains its back edge through the taken link.
   EXPECT_EQ(subject.cpu.run(100), CpuStatus::kBudgetExceeded);
   EXPECT_EQ(ref.cpu.run(100), CpuStatus::kBudgetExceeded);
-  EXPECT_GT(subject.cpu.cache_stats().arena_dispatches, 0u);
-  EXPECT_GT(subject.cpu.cache_stats().fused_execs, 0u);
+  EXPECT_GT(subject.cpu.cache_stats().lowered_dispatches, 0u);
+  EXPECT_GT(subject.cpu.cache_stats().chain_hits, 0u);
 
   // Step phase: alternate run(1) budget pauses and Cpu::step() so every
-  // µop boundary of the packed loop -- producer entry, mid-pair, the
-  // consumer slot -- is hit by both resume paths.
+  // µop boundary of the loop -- block entry, between cmp and jne, the
+  // jne itself -- is hit by both resume paths.
   for (int k = 0; k < 120; ++k) {
     CpuStatus ss, rs;
     if (k % 3 == 2) {
@@ -1258,11 +1345,11 @@ TEST(Cpu, FusedPairBudgetPauseSingleStep) {
   EXPECT_EQ(subject.r(Reg::RAX), ref.r(Reg::RAX));
 }
 
-// An external write smashing the consumer (jcc) half of a packed fused
-// pair: the next dispatch must revalidate, drop the stale block, and
-// execute the new bytes -- identically to the central interpreter under
-// the same pause/smash/resume script.
-TEST(Cpu, SmcSmashesFusedConsumer) {
+// An external write smashing a hot loop's jcc while the run is paused:
+// the next dispatch must revalidate, drop the stale block, and execute
+// the new bytes -- identically to the central interpreter under the same
+// pause/smash/resume script.
+TEST(Cpu, SmcSmashesLoopJccMidRun) {
   std::size_t body_len = isa::encoded_length(ib::dec(Reg::RCX)) +
                          isa::encoded_length(ib::cmp_i(Reg::RCX, 0)) +
                          isa::encoded_length(ib::jcc(Cond::NE, 0));
@@ -1277,32 +1364,35 @@ TEST(Cpu, SmcSmashesFusedConsumer) {
   while (hlt_fill.size() < isa::encoded_length(ib::jcc(Cond::NE, 0)))
     isa::encode(ib::hlt(), hlt_fill);
 
-  auto script = [&](bool threaded) {
+  auto script = [&](bool threaded, Cpu::CacheStats* warm_stats) {
     Machine m;
     m.load(prog);
     m.cpu.set_threaded_dispatch(threaded);
-    // Warm past kTraceHeat so dec/cmp+jne are packed and fusing, then
-    // smash the jne with HLT bytes while paused mid-trace.
+    // Warm until the loop's back edge chains, then smash the jne with
+    // HLT bytes while paused mid-run.
     CpuStatus warm = m.cpu.run(200);
     EXPECT_EQ(warm, CpuStatus::kBudgetExceeded);
+    if (warm_stats) *warm_stats = m.cpu.cache_stats();
     m.mem.write_bytes(jcc_addr, hlt_fill);
     CpuStatus done = m.cpu.run(1000);
     return std::tuple{warm, done, m.cpu.rip(), m.cpu.insn_count(),
                       m.r(Reg::RCX), m.cpu.flags()};
   };
-  auto lowered = script(true);
-  auto central = script(false);
+  Cpu::CacheStats warm_stats;
+  auto lowered = script(true, &warm_stats);
+  auto central = script(false, nullptr);
   EXPECT_EQ(lowered, central);
   EXPECT_EQ(std::get<1>(lowered), CpuStatus::kHalted);
+  EXPECT_GT(warm_stats.lowered_dispatches, 0u);
+  EXPECT_GT(warm_stats.chain_hits, 0u);
 }
 
-// A packed run whose seam-fused pair spans a page boundary: block A
-// (capped at kMaxBlockInsns, ending with cmp) lives on one page, its
-// lone-jcc fall successor B on the next. Smashing only B's page must
-// demote the seam -- A finishes from its unfused tail, the fall link
-// revalidation fails, and the new bytes execute -- while A's own arena
-// residency survives.
-TEST(Cpu, ArenaSeamSpansPageBoundary) {
+// A loop whose cmp and jcc sit in two blocks on either side of a page
+// line: block A (capped at kMaxBlockInsns, ending with cmp) lives on one
+// page, its lone-jcc fall successor B on the next. Smashing only B's
+// page must fail A's fall-link revalidation so the new bytes execute,
+// while A itself stays cached: only B is re-decoded.
+TEST(Cpu, SmashFallSuccessorAcrossPageLine) {
   std::vector<isa::Insn> body;
   for (int i = 0; i < 62; ++i) body.push_back(ib::add_i(Reg::RAX, 1));
   body.push_back(ib::dec(Reg::RCX));
@@ -1330,8 +1420,8 @@ TEST(Cpu, ArenaSeamSpansPageBoundary) {
     cpu.set_reg(Reg::RCX, 1000);
     cpu.set_reg(Reg::RAX, 0);
     cpu.set_rip(a_addr);
-    // ~26 A+B turns: A crosses kTraceHeat, packs, and seam-fuses the
-    // cmp with B's jne across the page line.
+    // ~26 A+B turns: A's fall link to B and B's taken link back to A
+    // both chain across the page line.
     CpuStatus warm = cpu.run(1700);
     EXPECT_EQ(warm, CpuStatus::kBudgetExceeded);
     // Smash only B's page: overwrite the jne with HLT bytes.
@@ -1348,15 +1438,17 @@ TEST(Cpu, ArenaSeamSpansPageBoundary) {
   auto central = script(false, nullptr);
   EXPECT_EQ(lowered, central);
   EXPECT_EQ(std::get<1>(lowered), CpuStatus::kHalted);
-  EXPECT_GT(stats.arena_segments, 0u);
-  EXPECT_GT(stats.fused_execs, 0u);
+  EXPECT_GT(stats.lowered_dispatches, 0u);
+  EXPECT_GT(stats.chain_hits, 0u);
+  EXPECT_EQ(stats.stale_redecodes, 1u) << "only B's page was written";
 }
 
-// Hook attach/detach while paused mid-trace: an installed hook demotes
-// dispatch to the central loop (zero arena/chain activity, hook fires);
-// detaching re-enters the packed arena stream. Architectural state must
-// track the always-central reference through both transitions.
-TEST(Cpu, HookAttachDetachMidTrace) {
+// Hook attach/detach while paused mid-run: an installed hook demotes
+// dispatch to the central loop (no lowered dispatches or chain hits,
+// hook fires); detaching re-enters the lowered executor. Architectural
+// state must track the always-central reference through both
+// transitions.
+TEST(Cpu, HookAttachDetachMidRun) {
   std::size_t body_len = isa::encoded_length(ib::add_i(Reg::RAX, 7)) +
                          isa::encoded_length(ib::dec(Reg::RCX)) +
                          isa::encoded_length(ib::jcc(Cond::NE, 0));
@@ -1378,16 +1470,16 @@ TEST(Cpu, HookAttachDetachMidTrace) {
     EXPECT_EQ(subject.r(Reg::RCX), ref.r(Reg::RCX)) << where;
   };
 
-  // Phase 1: warm until packed and fusing.
+  // Phase 1: warm until the loop runs lowered and chains its back edge.
   EXPECT_EQ(subject.cpu.run(100), CpuStatus::kBudgetExceeded);
   EXPECT_EQ(ref.cpu.run(100), CpuStatus::kBudgetExceeded);
   Cpu::CacheStats warm_stats = subject.cpu.cache_stats();
-  EXPECT_GT(warm_stats.arena_dispatches, 0u);
-  EXPECT_GT(warm_stats.fused_execs, 0u);
+  EXPECT_GT(warm_stats.lowered_dispatches, 0u);
+  EXPECT_GT(warm_stats.chain_hits, 0u);
   states_equal("after warm");
 
-  // Phase 2: attach a block hook mid-trace; dispatch demotes to the
-  // central loop, the hook observes every block, fusion stays off.
+  // Phase 2: attach a block hook mid-run; dispatch demotes to the
+  // central loop and the hook observes every block.
   std::uint64_t blocks_seen = 0;
   HookSet hooks;
   hooks.block = [&](Cpu&, std::uint64_t) { ++blocks_seen; };
@@ -1396,18 +1488,19 @@ TEST(Cpu, HookAttachDetachMidTrace) {
   EXPECT_EQ(ref.cpu.run(300), CpuStatus::kBudgetExceeded);
   Cpu::CacheStats hooked_stats = subject.cpu.cache_stats();
   EXPECT_GT(blocks_seen, 0u);
-  EXPECT_EQ(hooked_stats.arena_dispatches, warm_stats.arena_dispatches)
-      << "a hook must demote dispatch out of the arena";
-  EXPECT_EQ(hooked_stats.fused_execs, warm_stats.fused_execs);
+  EXPECT_EQ(hooked_stats.lowered_dispatches, warm_stats.lowered_dispatches)
+      << "a hook must demote dispatch out of the lowered executor";
+  EXPECT_EQ(hooked_stats.chain_hits, warm_stats.chain_hits);
+  EXPECT_GT(hooked_stats.central_dispatches, warm_stats.central_dispatches);
   states_equal("hooked");
 
-  // Phase 3: detach mid-trace; the packed stream resumes.
+  // Phase 3: detach mid-run; the lowered executor resumes.
   subject.cpu.set_hooks({});
   EXPECT_EQ(subject.cpu.run(1000000), CpuStatus::kHalted);
   EXPECT_EQ(ref.cpu.run(1000000), CpuStatus::kHalted);
   Cpu::CacheStats final_stats = subject.cpu.cache_stats();
-  EXPECT_GT(final_stats.arena_dispatches, hooked_stats.arena_dispatches);
-  EXPECT_GT(final_stats.fused_execs, hooked_stats.fused_execs);
+  EXPECT_GT(final_stats.lowered_dispatches, hooked_stats.lowered_dispatches);
+  EXPECT_GT(final_stats.chain_hits, hooked_stats.chain_hits);
   states_equal("final");
 }
 
