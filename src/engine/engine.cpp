@@ -524,9 +524,6 @@ ResolvedModule ObfuscationEngine::resolve_module(CraftedModule&& cm,
   rm.crafted = std::move(cm.crafted);
   rm.craft_seconds = cm.craft_seconds;
   rm.craft_retries = cm.craft_retries;
-  rm.queue_seconds = cm.queue_seconds;
-  rm.overlap_seconds = cm.overlap_seconds;
-  rm.sessions_in_flight = cm.sessions_in_flight;
 
   // Phase 2a: sharded parallel request planning, batch order. A name
   // listed twice in one batch crafts twice (prealloc happens before any
@@ -582,9 +579,6 @@ ModuleResult ObfuscationEngine::materialize_module(ResolvedModule&& rm) {
   out.craft_seconds = rm.craft_seconds;
   out.resolve_seconds = rm.resolve_seconds;
   out.craft_retries = rm.craft_retries;
-  out.queue_seconds = rm.queue_seconds;
-  out.overlap_seconds = rm.overlap_seconds;
-  out.sessions_in_flight = rm.sessions_in_flight;
   std::vector<CraftedFunction>& crafted = rm.crafted;
 
   // Every tier lookup of the batch (analyses + craft memo per crafted

@@ -158,10 +158,11 @@ struct ModuleResult {
   // materialize.
   bool rejected = false;
   bool cancelled = false;
-  // Pipeline telemetry, filled by the ObfuscationService scheduler; all
-  // zero on the synchronous obfuscate_module path. None of these affect
-  // the output bytes -- they only describe how the job moved through the
-  // craft/commit pipeline.
+  // Pipeline telemetry, stamped by the ObfuscationService on jobs that
+  // complete its pipeline; zero on the synchronous obfuscate_module
+  // path and on degraded, cancelled or quarantined jobs. None of these
+  // affect the output bytes -- they only describe how the job moved
+  // through the craft/commit pipeline.
   double queue_seconds = 0.0;    // submit -> craft start
   double overlap_seconds = 0.0;  // craft time hidden behind another
                                  // job's commit (double-buffering win)
@@ -199,9 +200,7 @@ struct ModuleResult {
 // The product of pipeline stage 1 for a whole batch: every function
 // crafted, nothing committed. Produced by craft_module() and consumed
 // exactly once by resolve_module(); the ObfuscationService carries one
-// of these between its craft and resolve pipeline stages. The scheduler
-// telemetry fields are filled by the service and flow through the
-// ResolvedModule into the ModuleResult materialize_module() returns.
+// of these between its craft and resolve pipeline stages.
 struct CraftedModule {
   std::vector<std::string> names;
   std::vector<CraftedFunction> crafted;  // parallel to names
@@ -213,10 +212,6 @@ struct CraftedModule {
   std::size_t craft_shed = 0;
   // Engine-internal robustness counters (flow into ModuleResult).
   std::size_t craft_retries = 0;
-  // Scheduler telemetry (see ModuleResult); zero outside the service.
-  double queue_seconds = 0.0;
-  double overlap_seconds = 0.0;
-  int sessions_in_flight = 0;
 };
 
 // The product of pipeline stage 2a for a whole batch: every gadget
@@ -237,10 +232,6 @@ struct ResolvedModule {
   // How the store served the phase-2a plan record (DESIGN.md §13);
   // folded into ModuleResult's store counters by materialize_module.
   analysis::LookupOutcome plan_lookup;
-  // Scheduler telemetry passthrough (see ModuleResult).
-  double queue_seconds = 0.0;
-  double overlap_seconds = 0.0;
-  int sessions_in_flight = 0;
 };
 
 class ObfuscationEngine {

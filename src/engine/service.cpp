@@ -32,6 +32,13 @@ ObfError stage_error(ObfError::Kind kind, const char* stage, bool retryable,
   return e;
 }
 
+// Bound on each inter-stage handoff queue (craft->resolve,
+// resolve->materialize); an upstream stage finishing a job waits for
+// space, which propagates backpressure toward the craft queue. 2 keeps
+// the handoff bounded while sparing the upstream worker a park/wake
+// cycle on every job.
+constexpr std::size_t kStageQueueDepth = 2;
+
 }  // namespace
 
 // One submission moving through the pipeline. Owns a strong reference
@@ -48,8 +55,11 @@ struct ServiceJob {
   CraftedModule cm;    // filled by the craft stage
   ResolvedModule rm;   // filled by the resolve stage
   double submit_t = 0.0;
-  double craft_start_t = 0.0;
-  double craft_end_t = 0.0;
+  // Scheduler telemetry, stamped by the craft step and copied onto the
+  // ModuleResult when the job completes the pipeline.
+  double queue_seconds = 0.0;    // submit -> craft start
+  double overlap_seconds = 0.0;  // downstream busy time during craft
+  int sessions_in_flight = 0;    // busy sessions at craft start
   // Set by the watchdog when the craft stage blows its deadline; the
   // engine's cancel poll observes it and sheds the rest of the batch,
   // after which the craft worker demotes the job to the serial path.
@@ -64,15 +74,21 @@ ObfuscationService::ObfuscationService(ServiceConfig cfg)
                  : (cfg_.store_dir.empty()
                         ? analysis::AnalysisCache::process_cache()
                         : std::make_shared<analysis::AnalysisCache>())),
-      pool_(std::max(1, cfg_.craft_threads)) {
+      pool_(std::max(1, cfg_.craft_threads)),
+      stages_{{{"craft", "service.craft.pre", &Stats::craft_busy_seconds,
+                &Stats::craft_queue_peak},
+               {"resolve", "service.resolve.pre",
+                &Stats::resolve_busy_seconds, &Stats::resolve_queue_peak},
+               {"materialize", "service.materialize.pre",
+                &Stats::materialize_busy_seconds,
+                &Stats::materialize_queue_peak}}} {
   // Disk tier (DESIGN.md §13): attach once; an explicit cache that
   // already carries a store keeps it (the caller wired its own tier).
   if (!cfg_.store_dir.empty() && !cache_->store())
     cache_->attach_store(
         std::make_shared<store::ArtifactStore>(cfg_.store_dir));
-  crafter_ = std::thread([this] { craft_loop(); });
-  resolver_ = std::thread([this] { resolve_loop(); });
-  materializer_ = std::thread([this] { materialize_loop(); });
+  for (StageId id : {kCraft, kResolve, kMaterialize})
+    stages_[id].worker = std::thread([this, id] { stage_loop(id); });
   if (cfg_.watchdog_deadline_s > 0.0)
     watchdog_ = std::thread([this] { watchdog_loop(); });
 }
@@ -141,8 +157,8 @@ JobHandle ObfuscationService::enqueue(std::shared_ptr<Session> session,
           ++busy_sessions_;
           stats_.peak_sessions_in_flight =
               std::max(stats_.peak_sessions_in_flight, busy_sessions_);
-          craft_q_.push_back(job);
-          craft_ready_.notify_one();
+          stages_[kCraft].q.push_back(job);
+          stages_[kCraft].ready.notify_one();
         }
         return handle;
       }
@@ -177,17 +193,6 @@ JobHandle ObfuscationService::enqueue(std::shared_ptr<Session> session,
   return handle;
 }
 
-void ObfuscationService::downstream_begin(double now) {
-  if (downstream_active_++ == 0) downstream_since_ = now;
-}
-
-void ObfuscationService::downstream_end(double now) {
-  if (--downstream_active_ == 0) {
-    stats_.commit_busy_seconds += now - downstream_since_;
-    downstream_since_ = -1.0;
-  }
-}
-
 double ObfuscationService::commit_busy_at(double now) const {
   return stats_.commit_busy_seconds +
          (downstream_active_ > 0 ? now - downstream_since_ : 0.0);
@@ -203,7 +208,6 @@ void ObfuscationService::finish_locked(ServiceJob& job, ModuleResult result,
       stats_.store_misses += result.store_misses;
       stats_.store_spills += result.store_spills;
       stats_.store_corrupt_evictions += result.store_corrupt_evictions;
-      if (job.retries > 0 || result.craft_retries > 0) ++stats_.jobs_retried;
       break;
     case Outcome::kCancelled:
       ++stats_.jobs_cancelled;
@@ -213,6 +217,7 @@ void ObfuscationService::finish_locked(ServiceJob& job, ModuleResult result,
       // records the diagnostic ObfError before delegating here.
       break;
   }
+  if (job.retries > 0 || result.craft_retries > 0) ++stats_.jobs_retried;
   result.retries = job.retries;
   if (auto st = job.state.lock()) fulfill(st, std::move(result));
   // Release the session's next queued job into the craft stage. A
@@ -223,9 +228,9 @@ void ObfuscationService::finish_locked(ServiceJob& job, ModuleResult result,
   Session& sess = *job.session;
   --sess.in_flight_;
   if (!sess.backlog_.empty()) {
-    craft_q_.push_back(std::move(sess.backlog_.front()));
+    stages_[kCraft].q.push_back(std::move(sess.backlog_.front()));
     sess.backlog_.pop_front();
-    craft_ready_.notify_one();
+    stages_[kCraft].ready.notify_one();
   } else {
     sess.job_in_pipeline_ = false;
     --busy_sessions_;
@@ -248,20 +253,19 @@ void ObfuscationService::quarantine_locked(ServiceJob& job, ObfError err) {
 // up to max_stage_retries with capped exponential backoff. Returns the
 // terminal error when retries are exhausted, nullopt on (eventual)
 // success. Called UNLOCKED: it sleeps.
-std::optional<ObfError> ObfuscationService::stage_gate(const char* stage,
-                                                       const char* site,
+std::optional<ObfError> ObfuscationService::stage_gate(const Stage& s,
                                                        std::uint64_t seed,
                                                        int* attempts) const {
   for (int attempt = 0;; ++attempt) {
     try {
-      fault::maybe_throw(site);
+      fault::maybe_throw(s.fault_site);
       return std::nullopt;
     } catch (const fault::FaultInjected& e) {
       if (attempt >= cfg_.max_stage_retries)
-        return stage_error(ObfError::Kind::kFaultInjected, stage,
+        return stage_error(ObfError::Kind::kFaultInjected, s.name,
                            /*retryable=*/true, attempt + 1, e.what());
       ++*attempts;
-      backoff(stage, seed, attempt);
+      backoff(s.name, seed, attempt);
     }
   }
 }
@@ -280,245 +284,169 @@ void ObfuscationService::backoff(const char* stage, std::uint64_t seed,
   std::this_thread::sleep_for(std::chrono::microseconds(us));
 }
 
-void ObfuscationService::craft_loop() {
-  std::unique_lock<std::mutex> lk(mu_);
+void ObfuscationService::stage_loop(StageId id) {
+  Stage& s = stages_[id];
+  Lock lk(mu_);
   for (;;) {
-    craft_ready_.wait(lk, [this] { return stopping_ || !craft_q_.empty(); });
-    if (craft_q_.empty()) {
-      if (stopping_) return;
-      continue;
+    s.ready.wait(lk, [&] { return stopping_ || !s.q.empty(); });
+    if (s.q.empty()) return;  // stopping_, and nothing left to drain
+    std::shared_ptr<ServiceJob> job = std::move(s.q.front());
+    s.q.pop_front();
+    if (id == kCraft) {
+      --pending_craft_;
+      admit_ready_.notify_all();  // craft-queue space for blocked submitters
+    } else {
+      s.space.notify_one();  // handoff space for the upstream worker
     }
-    std::shared_ptr<ServiceJob> job = std::move(craft_q_.front());
-    craft_q_.pop_front();
-    --pending_craft_;
-    admit_ready_.notify_all();  // craft-queue space for blocked submitters
-    if (job->state.expired()) {
-      // Every client handle is gone and the job never started: cancel
-      // before any image mutation (even prealloc), so the module's
-      // bytes are as if the job was never submitted.
+    if (id != kMaterialize && job->state.expired()) {
+      // Every client handle is gone. Before craft nothing touched the
+      // image (not even prealloc), so the module's bytes are as if the
+      // job was never submitted; between craft and resolve the prealloc
+      // reservations stand (later jobs of this session keep their exact
+      // layout) but no chains or gadgets land. A job that entered
+      // resolve always materializes: its gadgets were planned against
+      // engine state and the plan must land to keep the session's FIFO
+      // image evolution deterministic.
       ModuleResult r;
       r.cancelled = true;
       finish_locked(*job, std::move(r), Outcome::kCancelled);
       continue;
     }
-    job->craft_start_t = wall_.seconds();
-    const double commit_busy0 = commit_busy_at(job->craft_start_t);
-    const int in_flight = static_cast<int>(busy_sessions_);
-    craft_active_since_ = job->craft_start_t;
-    craft_active_job_ = job;  // the watchdog's deadline target
-    lk.unlock();
-    int attempts = 0;
-    std::optional<ObfError> err =
-        stage_gate("craft", "service.craft.pre",
-                   job->session->config().seed, &attempts);
-    if (!err) {
-      probe("craft");
-      // The cancel poll between functions: if every client handle is
-      // dropped mid-craft, the rest of the batch is shed (expiry is
-      // permanent, so the job is then cancelled at the next stage
-      // boundary before resolve touches the image). The watchdog uses
-      // the same poll to abandon an over-deadline craft. If the
-      // deadline already passed before craft entry, skip craft_module
-      // entirely: its prealloc prepass would consume image reservations
-      // the serial demotion path re-allocates itself (the demoted rerun
-      // then lands the exact standalone-reference bytes).
-      try {
-        if (!job->watchdog_expired.load(std::memory_order_relaxed))
-          job->cm = job->session->engine_.craft_module(
-              job->names, cfg_.craft_threads, &pool_, [&job] {
-                return job->state.expired() ||
-                       job->watchdog_expired.load(std::memory_order_relaxed);
-              });
-      } catch (const fault::FaultInjected& e) {
-        err = stage_error(ObfError::Kind::kFaultInjected, "craft",
-                          /*retryable=*/false, attempts + 1, e.what());
-      } catch (const std::exception& e) {
-        err = stage_error(ObfError::Kind::kStageFailure, "craft",
-                          /*retryable=*/false, attempts + 1, e.what());
-      } catch (...) {
-        err = stage_error(ObfError::Kind::kInternal, "craft",
-                          /*retryable=*/false, attempts + 1,
-                          "unknown exception in craft");
-      }
+    switch (id) {
+      case kCraft: craft(std::move(job), lk); break;
+      case kResolve: resolve(std::move(job), lk); break;
+      case kMaterialize: materialize(std::move(job), lk); break;
     }
-    lk.lock();
-    craft_active_job_.reset();
-    job->craft_end_t = wall_.seconds();
-    craft_active_since_ = -1.0;
-    job->retries += attempts;
-    stats_.stage_retries += static_cast<std::size_t>(attempts);
-    stats_.craft_busy_seconds += job->craft_end_t - job->craft_start_t;
-    if (err) {
-      // Stage-entry retries exhausted, or the engine threw mid-craft.
-      // Either way nothing downstream may run: quarantine with the
-      // typed diagnostic and keep the pipe draining.
-      quarantine_locked(*job, std::move(*err));
-      continue;
-    }
-    if (job->watchdog_expired.load(std::memory_order_relaxed) &&
-        !job->state.expired()) {
-      // Deadline blown: the cancel poll shed the rest of the batch, so
-      // the pipelined artifacts are incomplete. Graceful degradation:
-      // rerun the whole job on the serial path, on this worker thread
-      // (per-session FIFO guarantees no other stage touches this
-      // session's engine while the job is still in flight).
-      ++stats_.jobs_degraded_serial;
-      lk.unlock();
-      ModuleResult r = job->session->run(job->names, cfg_.craft_threads,
-                                         cfg_.commit_shards);
-      r.degraded_serial = true;
-      lk.lock();
-      finish_locked(*job, std::move(r), Outcome::kCompleted);
-      continue;
-    }
-    stats_.craft_shed_functions += job->cm.craft_shed;
-    job->cm.queue_seconds = job->craft_start_t - job->submit_t;
-    // Exactly the downstream (resolve/materialize) busy time that
-    // elapsed during this craft: the pipelining overlap it enjoyed.
-    job->cm.overlap_seconds =
-        commit_busy_at(job->craft_end_t) - commit_busy0;
-    job->cm.sessions_in_flight = in_flight;
-    stats_.overlap_seconds += job->cm.overlap_seconds;
-    // Hand off to resolve through a bounded queue: a full queue parks
-    // the craft worker, which in turn fills the craft queue --
-    // backpressure propagates to submit().
-    resolve_space_.wait(lk, [this] {
-      return cfg_.stage_queue_depth == 0 ||
-             resolve_q_.size() < cfg_.stage_queue_depth;
-    });
-    resolve_q_.push_back(std::move(job));
-    stats_.resolve_queue_peak =
-        std::max(stats_.resolve_queue_peak, resolve_q_.size());
-    resolve_ready_.notify_one();
   }
 }
 
-void ObfuscationService::resolve_loop() {
-  std::unique_lock<std::mutex> lk(mu_);
-  for (;;) {
-    resolve_ready_.wait(lk,
-                        [this] { return stopping_ || !resolve_q_.empty(); });
-    if (resolve_q_.empty()) {
-      if (stopping_) return;
-      continue;
+std::optional<ObfuscationService::StageRun> ObfuscationService::run_stage(
+    Stage& s, ServiceJob& job, Lock& lk, const std::function<void()>& body) {
+  // Resolve and materialize are the "downstream" of craft: their union
+  // busy time (commit_busy_seconds) is what craft overlap is measured by.
+  const bool downstream = &s != &stages_[kCraft];
+  StageRun run;
+  run.start = wall_.seconds();
+  const double commit_busy0 = commit_busy_at(run.start);
+  s.active_since = run.start;
+  if (downstream && downstream_active_++ == 0) downstream_since_ = run.start;
+  lk.unlock();
+  int attempts = 0;
+  std::optional<ObfError> err =
+      stage_gate(s, job.session->config().seed, &attempts);
+  // Past the gate an exception is NOT retryable at this level: a craft
+  // re-run would repeat prealloc, resolve_module consumes its input and
+  // a half-done materialize leaves commits applied. Quarantine.
+  auto fail = [&](ObfError::Kind kind, std::string detail) {
+    err = stage_error(kind, s.name, /*retryable=*/false, attempts + 1,
+                      std::move(detail));
+  };
+  if (!err) {
+    try {
+      if (cfg_.stage_probe) cfg_.stage_probe(s.name);
+      body();
+    } catch (const fault::FaultInjected& e) {
+      fail(ObfError::Kind::kFaultInjected, e.what());
+    } catch (const std::exception& e) {
+      fail(ObfError::Kind::kStageFailure, e.what());
+    } catch (...) {
+      fail(ObfError::Kind::kInternal,
+           std::string("unknown exception in ") + s.name);
     }
-    std::shared_ptr<ServiceJob> job = std::move(resolve_q_.front());
-    resolve_q_.pop_front();
-    resolve_space_.notify_one();
-    if (job->state.expired()) {
-      // Cancelled after craft, before resolve: no chains, no gadgets,
-      // nothing lands. (The craft prepass reserved addresses, so later
-      // jobs of this session keep their exact layout; only the
-      // cancelled batch's work is dropped.)
-      ModuleResult r;
-      r.cancelled = true;
-      finish_locked(*job, std::move(r), Outcome::kCancelled);
-      continue;
-    }
-    const double t0 = wall_.seconds();
-    resolve_active_since_ = t0;
-    downstream_begin(t0);
+  }
+  lk.lock();
+  const double end = wall_.seconds();
+  s.active_since = -1.0;
+  stats_.*s.busy += end - run.start;
+  if (downstream && --downstream_active_ == 0)
+    stats_.commit_busy_seconds += end - downstream_since_;
+  run.downstream_busy = commit_busy_at(end) - commit_busy0;
+  job.retries += attempts;
+  stats_.stage_retries += static_cast<std::size_t>(attempts);
+  if (err) {
+    quarantine_locked(job, std::move(*err));
+    return std::nullopt;
+  }
+  return run;
+}
+
+void ObfuscationService::handoff(Stage& next, std::shared_ptr<ServiceJob> job,
+                                 Lock& lk) {
+  // A full queue parks the upstream worker, which in turn fills the
+  // queues before it -- backpressure propagates to submit().
+  next.space.wait(lk, [&] { return next.q.size() < kStageQueueDepth; });
+  next.q.push_back(std::move(job));
+  stats_.*next.queue_peak = std::max(stats_.*next.queue_peak, next.q.size());
+  next.ready.notify_one();
+}
+
+void ObfuscationService::craft(std::shared_ptr<ServiceJob> job, Lock& lk) {
+  const int in_flight = static_cast<int>(busy_sessions_);
+  craft_active_job_ = job;  // the watchdog's deadline target
+  std::optional<StageRun> run = run_stage(stages_[kCraft], *job, lk, [&] {
+    // The cancel poll between functions: if every client handle is
+    // dropped mid-craft, the rest of the batch is shed (expiry is
+    // permanent, so the job is then cancelled at the next stage
+    // boundary before resolve touches the image). The watchdog uses
+    // the same poll to abandon an over-deadline craft. If the deadline
+    // already passed before craft entry, skip craft_module entirely:
+    // its prealloc prepass would consume image reservations the serial
+    // demotion path re-allocates itself (the demoted rerun then lands
+    // the exact standalone-reference bytes).
+    if (job->watchdog_expired.load(std::memory_order_relaxed)) return;
+    job->cm = job->session->engine_.craft_module(
+        job->names, cfg_.craft_threads, &pool_, [&job] {
+          return job->state.expired() ||
+                 job->watchdog_expired.load(std::memory_order_relaxed);
+        });
+  });
+  craft_active_job_.reset();
+  if (!run) return;  // quarantined: nothing downstream may run
+  if (job->watchdog_expired.load(std::memory_order_relaxed) &&
+      !job->state.expired()) {
+    // Deadline blown: the cancel poll shed the rest of the batch, so
+    // the pipelined artifacts are incomplete. Graceful degradation:
+    // rerun the whole job on the serial path, on this worker thread
+    // (per-session FIFO guarantees no other stage touches this
+    // session's engine while the job is still in flight).
+    ++stats_.jobs_degraded_serial;
     lk.unlock();
-    int attempts = 0;
-    std::optional<ObfError> err =
-        stage_gate("resolve", "service.resolve.pre",
-                   job->session->config().seed, &attempts);
-    if (!err) {
-      probe("resolve");
-      // resolve_module consumes the crafted module, so an engine throw
-      // mid-resolve is NOT retryable at this level: the input is gone
-      // (and gadget ordinals may have been consumed). Quarantine.
-      try {
+    ModuleResult r = job->session->run(job->names, cfg_.craft_threads,
+                                       cfg_.commit_shards);
+    r.degraded_serial = true;
+    lk.lock();
+    finish_locked(*job, std::move(r), Outcome::kCompleted);
+    return;
+  }
+  stats_.craft_shed_functions += job->cm.craft_shed;
+  job->queue_seconds = run->start - job->submit_t;
+  job->overlap_seconds = run->downstream_busy;
+  job->sessions_in_flight = in_flight;
+  stats_.overlap_seconds += job->overlap_seconds;
+  handoff(stages_[kResolve], std::move(job), lk);
+}
+
+void ObfuscationService::resolve(std::shared_ptr<ServiceJob> job, Lock& lk) {
+  if (!run_stage(stages_[kResolve], *job, lk, [&] {
         job->rm = job->session->engine_.resolve_module(
             std::move(job->cm), cfg_.craft_threads, cfg_.commit_shards,
             &pool_);
-      } catch (const fault::FaultInjected& e) {
-        err = stage_error(ObfError::Kind::kFaultInjected, "resolve",
-                          /*retryable=*/false, attempts + 1, e.what());
-      } catch (const std::exception& e) {
-        err = stage_error(ObfError::Kind::kStageFailure, "resolve",
-                          /*retryable=*/false, attempts + 1, e.what());
-      } catch (...) {
-        err = stage_error(ObfError::Kind::kInternal, "resolve",
-                          /*retryable=*/false, attempts + 1,
-                          "unknown exception in resolve");
-      }
-    }
-    lk.lock();
-    const double t1 = wall_.seconds();
-    resolve_active_since_ = -1.0;
-    stats_.resolve_busy_seconds += t1 - t0;
-    downstream_end(t1);
-    job->retries += attempts;
-    stats_.stage_retries += static_cast<std::size_t>(attempts);
-    if (err) {
-      quarantine_locked(*job, std::move(*err));
-      continue;
-    }
-    mat_space_.wait(lk, [this] {
-      return cfg_.stage_queue_depth == 0 ||
-             mat_q_.size() < cfg_.stage_queue_depth;
-    });
-    mat_q_.push_back(std::move(job));
-    stats_.materialize_queue_peak =
-        std::max(stats_.materialize_queue_peak, mat_q_.size());
-    mat_ready_.notify_one();
-  }
+      }))
+    return;
+  handoff(stages_[kMaterialize], std::move(job), lk);
 }
 
-void ObfuscationService::materialize_loop() {
-  std::unique_lock<std::mutex> lk(mu_);
-  for (;;) {
-    mat_ready_.wait(lk, [this] { return stopping_ || !mat_q_.empty(); });
-    if (mat_q_.empty()) {
-      if (stopping_) return;
-      continue;
-    }
-    std::shared_ptr<ServiceJob> job = std::move(mat_q_.front());
-    mat_q_.pop_front();
-    mat_space_.notify_one();
-    // The job entered resolve; it always materializes, even if every
-    // handle was dropped meanwhile -- gadgets were planned against
-    // engine state and the plan must land to keep the session's FIFO
-    // image evolution deterministic.
-    const double t0 = wall_.seconds();
-    mat_active_since_ = t0;
-    downstream_begin(t0);
-    lk.unlock();
-    int attempts = 0;
-    std::optional<ObfError> err =
-        stage_gate("materialize", "service.materialize.pre",
-                   job->session->config().seed, &attempts);
-    ModuleResult result;
-    if (!err) {
-      probe("materialize");
-      try {
+void ObfuscationService::materialize(std::shared_ptr<ServiceJob> job,
+                                     Lock& lk) {
+  ModuleResult result;
+  if (!run_stage(stages_[kMaterialize], *job, lk, [&] {
         result = job->session->engine_.materialize_module(std::move(job->rm));
-      } catch (const fault::FaultInjected& e) {
-        err = stage_error(ObfError::Kind::kFaultInjected, "materialize",
-                          /*retryable=*/false, attempts + 1, e.what());
-      } catch (const std::exception& e) {
-        err = stage_error(ObfError::Kind::kStageFailure, "materialize",
-                          /*retryable=*/false, attempts + 1, e.what());
-      } catch (...) {
-        err = stage_error(ObfError::Kind::kInternal, "materialize",
-                          /*retryable=*/false, attempts + 1,
-                          "unknown exception in materialize");
-      }
-    }
-    lk.lock();
-    const double t1 = wall_.seconds();
-    mat_active_since_ = -1.0;
-    stats_.materialize_busy_seconds += t1 - t0;
-    downstream_end(t1);
-    job->retries += attempts;
-    stats_.stage_retries += static_cast<std::size_t>(attempts);
-    if (err) {
-      quarantine_locked(*job, std::move(*err));
-      continue;
-    }
-    finish_locked(*job, std::move(result), Outcome::kCompleted);
-  }
+      }))
+    return;
+  result.queue_seconds = job->queue_seconds;
+  result.overlap_seconds = job->overlap_seconds;
+  result.sessions_in_flight = job->sessions_in_flight;
+  finish_locked(*job, std::move(result), Outcome::kCompleted);
 }
 
 // Deadline sentry: wakes 4x per deadline, flags any stage whose current
@@ -537,21 +465,13 @@ void ObfuscationService::watchdog_loop() {
     auto over = [&](double since) {
       return since >= 0.0 && now - since > cfg_.watchdog_deadline_s;
     };
-    if (craft_active_job_ && over(craft_active_since_) &&
-        craft_flagged_at_ != craft_active_since_) {
-      craft_flagged_at_ = craft_active_since_;  // one flag per overrun
+    for (Stage& s : stages_) {
+      if (!over(s.active_since) || s.flagged_at == s.active_since) continue;
+      s.flagged_at = s.active_since;  // one flag per overrun
       ++stats_.watchdog_flags;
-      craft_active_job_->watchdog_expired.store(true,
-                                                std::memory_order_relaxed);
-    }
-    if (over(resolve_active_since_) &&
-        resolve_flagged_at_ != resolve_active_since_) {
-      resolve_flagged_at_ = resolve_active_since_;
-      ++stats_.watchdog_flags;
-    }
-    if (over(mat_active_since_) && mat_flagged_at_ != mat_active_since_) {
-      mat_flagged_at_ = mat_active_since_;
-      ++stats_.watchdog_flags;
+      if (&s == &stages_[kCraft])
+        craft_active_job_->watchdog_expired.store(true,
+                                                  std::memory_order_relaxed);
     }
   }
 }
@@ -568,14 +488,10 @@ void ObfuscationService::shutdown() {
     stopping_ = true;
     stage_threads_joined_ = true;
     sessions.swap(sessions_);
-    craft_ready_.notify_all();
-    resolve_ready_.notify_all();
-    mat_ready_.notify_all();
+    for (Stage& s : stages_) s.ready.notify_all();
     watchdog_cv_.notify_all();
   }
-  crafter_.join();
-  if (resolver_.joinable()) resolver_.join();
-  materializer_.join();
+  for (Stage& s : stages_) s.worker.join();
   if (watchdog_.joinable()) watchdog_.join();
   // Detach surviving sessions: their next submit() runs synchronously.
   for (auto& w : sessions)
@@ -594,13 +510,9 @@ ObfuscationService::Stats ObfuscationService::stats() const {
   // already accrued (overlap_ratio() would otherwise divide overlap by
   // a commit_busy_seconds that lags it -- the "no commit work yet"
   // artifact).
-  if (craft_active_since_ >= 0.0)
-    s.craft_busy_seconds += now - craft_active_since_;
-  if (resolve_active_since_ >= 0.0)
-    s.resolve_busy_seconds += now - resolve_active_since_;
-  if (mat_active_since_ >= 0.0)
-    s.materialize_busy_seconds += now - mat_active_since_;
-  if (downstream_active_ > 0) s.commit_busy_seconds += now - downstream_since_;
+  for (const Stage& st : stages_)
+    if (st.active_since >= 0.0) s.*st.busy += now - st.active_since;
+  s.commit_busy_seconds = commit_busy_at(now);
   return s;
 }
 

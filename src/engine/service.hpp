@@ -1,6 +1,5 @@
 // ObfuscationService: the long-lived, streaming front door to the
-// rewriting pipeline (ROADMAP: "multi-module streaming service",
-// "multi-stage pipeline depth", "session admission control").
+// rewriting pipeline.
 //
 // The batch ObfuscationEngine is one-shot: one engine per image, one
 // obfuscate_module() call, teardown. The service keeps the expensive
@@ -11,10 +10,11 @@
 //   * one shared ThreadPool (craft fan-out and sharded resolve of all
 //     sessions run on the same workers),
 //   * a three-stage pipeline mirroring the engine's public stages
-//     (DESIGN.md §9): a craft worker, a resolve worker and a
-//     materialize worker each drain their own bounded queue, so module
-//     N+2's craft overlaps module N+1's parallel resolve and module N's
-//     serial-per-image materialize.
+//     (DESIGN.md §9): craft, resolve and materialize are three records
+//     of one Stage type, each with its own queue and worker, all run by
+//     one stage runner -- only the stage body and its next step differ.
+//     Module N+2's craft overlaps module N+1's parallel resolve and
+//     module N's serial-per-image materialize.
 //
 // Admission control: the craft queue is bounded (craft_queue_depth) and
 // every session has an in-flight quota (session_quota). A full queue or
@@ -30,16 +30,18 @@
 // its previous job materialized), so a streamed module is
 // byte-identical to standalone obfuscate_module() runs with the same
 // batches and seed -- the pipeline moves wall-clock, never bytes, at
-// every (threads, shards, sessions, queue-depth) combination
+// every (threads, shards, sessions, craft bound) combination
 // (tests/test_service.cpp).
 //
-// Telemetry: every ModuleResult carries queue_seconds / overlap_seconds
-// / sessions_in_flight plus per-stage craft/resolve/materialize
-// seconds, and Stats aggregates per-stage busy times and queue
-// occupancy peaks, so both the double-buffering win and the admission
-// behaviour are measured quantities (bench_service).
+// Telemetry: every result that completed the pipeline carries
+// queue_seconds / overlap_seconds / sessions_in_flight plus per-stage
+// craft/resolve/materialize seconds, and Stats aggregates per-stage
+// busy times and queue occupancy peaks, so both the double-buffering
+// win and the admission behaviour are measured quantities
+// (bench_service).
 #pragma once
 
+#include <array>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -69,13 +71,6 @@ struct ServiceConfig {
   // session backlogs). 0 = unbounded. When full, submit() follows
   // `submit_policy`.
   std::size_t craft_queue_depth = 16;
-  // Bound on each inter-stage handoff queue (craft->resolve,
-  // resolve->materialize); an upstream stage finishing a job waits for
-  // space, which propagates backpressure toward the craft queue.
-  // 0 = unbounded; 1 = classic double buffering per hop. The default of
-  // 2 keeps the handoff bounded while sparing the upstream worker a
-  // park/wake cycle on every job.
-  std::size_t stage_queue_depth = 2;
   // Max jobs of one session submitted but not yet finished (completed,
   // cancelled or rejected). 0 = unbounded.
   std::size_t session_quota = 0;
@@ -118,7 +113,7 @@ struct ServiceConfig {
   // before it runs a job's stage work ("craft", "resolve" or
   // "materialize"). A blocking probe stalls that stage -- the
   // backpressure and cancellation tests hold the pipeline in a known
-  // state this way.
+  // state this way; a throwing probe fails the job like its stage body.
   std::function<void(const char* stage)> stage_probe;
 };
 
@@ -219,12 +214,52 @@ class ObfuscationService {
  private:
   friend class Session;
 
+  using Lock = std::unique_lock<std::mutex>;
+  // The pipeline stages, in job order; indexes into stages_.
+  enum StageId { kCraft, kResolve, kMaterialize };
+  // One pipeline stage: a job queue drained by one worker thread.
+  struct Stage {
+    const char* name;        // ObfError::stage and the stage_probe argument
+    const char* fault_site;  // retryable entry site, service.<name>.pre
+    double Stats::*busy;     // the stage's busy-time field
+    // Jobs buffered ahead of the stage: kept by handoff, and for craft
+    // by enqueue (admitted-not-yet-crafting).
+    std::size_t Stats::*queue_peak;
+    std::deque<std::shared_ptr<ServiceJob>> q{};
+    std::condition_variable ready{};  // q gained a job, or stopping_
+    std::condition_variable space{};  // q lost a job (bounded handoff)
+    // In-progress interval start (< 0: idle) for stats() and the
+    // watchdog, which flags one overrun once via flagged_at.
+    double active_since = -1.0;
+    double flagged_at = -1.0;
+    std::thread worker{};
+  };
+  struct StageRun {
+    double start = 0.0;
+    // Downstream union busy time accrued during the run: for craft,
+    // the pipelining overlap it enjoyed.
+    double downstream_busy = 0.0;
+  };
+
   // Session::submit() on a service-owned session lands here.
   JobHandle enqueue(std::shared_ptr<Session> session,
                     std::vector<std::string> names);
-  void craft_loop();
-  void resolve_loop();
-  void materialize_loop();
+  // A stage's worker: pop, cancel a job whose handles are all gone (if
+  // it has not entered resolve), then the stage's step -- its body
+  // through run_stage and its next step (handoff, demotion or finish).
+  void stage_loop(StageId id);
+  void craft(std::shared_ptr<ServiceJob> job, Lock& lk);
+  void resolve(std::shared_ptr<ServiceJob> job, Lock& lk);
+  void materialize(std::shared_ptr<ServiceJob> job, Lock& lk);
+  // The one stage runner (lk held on entry and exit): opens the busy
+  // interval(s), unlocks, runs stage_gate, the probe and `body` inside
+  // the one catch ladder that types every exception as an ObfError,
+  // relocks, closes the interval(s) and accounts busy time and retries.
+  // nullopt: the job failed and was quarantined.
+  std::optional<StageRun> run_stage(Stage& s, ServiceJob& job, Lock& lk,
+                                    const std::function<void()>& body);
+  // Bounded push into `next` (waits for space; lk held).
+  void handoff(Stage& next, std::shared_ptr<ServiceJob> job, Lock& lk);
   void watchdog_loop();
   enum class Outcome { kCompleted, kCancelled, kQuarantined };
   // End-of-pipeline bookkeeping for one job (caller holds mu_): fulfill
@@ -239,17 +274,11 @@ class ObfuscationService {
   // seed-jittered backoff between attempts (runs unlocked). Returns the
   // error to quarantine with once retries are exhausted, or nullopt to
   // proceed; *attempts reports retries consumed either way.
-  std::optional<ObfError> stage_gate(const char* stage, const char* site,
-                                     std::uint64_t seed, int* attempts) const;
+  std::optional<ObfError> stage_gate(const Stage& s, std::uint64_t seed,
+                                     int* attempts) const;
   void backoff(const char* stage, std::uint64_t seed, int attempt) const;
-  // Downstream (resolve/materialize) union busy-time accounting; the
-  // overlap a craft enjoys is this quantity sampled at craft start/end.
-  void downstream_begin(double now);
-  void downstream_end(double now);
+  // Downstream (resolve/materialize) union busy time up to `now`.
   double commit_busy_at(double now) const;
-  void probe(const char* stage) const {
-    if (cfg_.stage_probe) cfg_.stage_probe(stage);
-  }
   static void fulfill(const std::shared_ptr<JobHandle::State>& st,
                       ModuleResult result);
 
@@ -258,10 +287,7 @@ class ObfuscationService {
   ThreadPool pool_;
 
   mutable std::mutex mu_;
-  std::condition_variable craft_ready_, resolve_ready_, mat_ready_;
-  std::condition_variable resolve_space_, mat_space_;
   std::condition_variable admit_ready_, drained_;
-  std::deque<std::shared_ptr<ServiceJob>> craft_q_, resolve_q_, mat_q_;
   std::vector<std::weak_ptr<Session>> sessions_;
   bool accepting_ = true;
   bool stopping_ = false;
@@ -269,24 +295,18 @@ class ObfuscationService {
   std::size_t jobs_in_flight_ = 0;
   std::size_t pending_craft_ = 0;  // admitted, craft not yet started
   std::size_t busy_sessions_ = 0;
-  // In-progress stage intervals (< 0: idle), for live stats snapshots.
-  double craft_active_since_ = -1.0;
-  double resolve_active_since_ = -1.0;
-  double mat_active_since_ = -1.0;
   int downstream_active_ = 0;  // resolve/materialize stages running now
   double downstream_since_ = -1.0;
-  // Watchdog bookkeeping: the job crafting right now (for the
-  // cooperative cancel) and the interval start each stage was last
-  // flagged at, so one overdue job is flagged once, not once per tick.
+  // The job crafting right now: the watchdog's cooperative-cancel
+  // target (craft is the only stage with a cancel point).
   std::shared_ptr<ServiceJob> craft_active_job_;
-  double craft_flagged_at_ = -1.0;
-  double resolve_flagged_at_ = -1.0;
-  double mat_flagged_at_ = -1.0;
   std::condition_variable watchdog_cv_;
   Stats stats_;
   Stopwatch wall_;
 
-  std::thread crafter_, resolver_, materializer_, watchdog_;
+  // Declared after everything their workers use.
+  std::array<Stage, 3> stages_;
+  std::thread watchdog_;
 };
 
 }  // namespace raindrop::engine

@@ -292,6 +292,7 @@ TEST(Chaos, RetryableFaultExhaustionQuarantinesWithTypedError) {
   auto st = service.stats();
   fault::disarm_all();
   EXPECT_EQ(st.jobs_quarantined, hs.size());
+  EXPECT_EQ(st.jobs_retried, hs.size());
   EXPECT_EQ(st.jobs_completed, 0u);
   EXPECT_EQ(st.stage_retries,
             static_cast<std::size_t>(sc.max_stage_retries) * hs.size());

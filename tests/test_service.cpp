@@ -8,12 +8,14 @@
 // completes every handle.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -244,7 +246,7 @@ TEST(ServiceStreaming, ShutdownWithJobsInFlightCompletesEveryHandle) {
 TEST(ServiceStreaming, PipelineSweepMatchesSerialReference) {
   // The §9 acceptance sweep: streamed output must reproduce the serial
   // (1 thread, 1 shard) standalone reference bit for bit at every
-  // (threads, shards, sessions, queue-depth) combination -- queues move
+  // (threads, shards, sessions, craft bound) combination -- queues move
   // wall-clock, never bytes. Two concurrent sessions over distinct
   // modules, three jobs each, submitted interleaved.
   const std::uint64_t corpus_seeds[] = {17, 19};
@@ -257,14 +259,13 @@ TEST(ServiceStreaming, PipelineSweepMatchesSerialReference) {
     refs.push_back(run_standalone(corpora.back(), jobs.back(), 200 + cs, 1, 1));
   }
 
-  for (std::size_t queue_depth : {std::size_t{1}, std::size_t{0}}) {
+  for (std::size_t craft_depth : {std::size_t{2}, std::size_t{0}}) {
     for (int threads : {1, 2}) {
       for (int shards : {1, 3}) {
         engine::ServiceConfig sc;
         sc.craft_threads = threads;
         sc.commit_shards = shards;
-        sc.craft_queue_depth = queue_depth == 0 ? 0 : 2;
-        sc.stage_queue_depth = queue_depth;
+        sc.craft_queue_depth = craft_depth;
         sc.cache = std::make_shared<analysis::AnalysisCache>();
         engine::ObfuscationService service(sc);
         std::vector<Image> imgs(corpora.size());
@@ -286,7 +287,7 @@ TEST(ServiceStreaming, PipelineSweepMatchesSerialReference) {
         }
         auto st = service.stats();
         EXPECT_EQ(st.jobs_completed, 6u)
-            << "depth=" << queue_depth << " threads=" << threads
+            << "depth=" << craft_depth << " threads=" << threads
             << " shards=" << shards;
         EXPECT_EQ(st.jobs_cancelled + st.jobs_rejected, 0u);
       }
@@ -561,6 +562,56 @@ TEST(ServiceWatchdog, DownstreamOverrunIsFlaggedNotDemoted) {
   EXPECT_EQ(st.jobs_quarantined, 0u);
   expect_same_results(r, ref.results[0], "flagged job");
   expect_same_image(img, ref.img, "flagged module");
+}
+
+TEST(ServiceFailure, ThrowingStageBodyQuarantinesWithStageFailure) {
+  // Any non-fault exception out of a stage -- here thrown once by the
+  // stage probe, which runs inside the stage runner's catch ladder --
+  // quarantines exactly the struck job with a typed kStageFailure
+  // naming its stage, and is never retried. A concurrent session
+  // streams on untouched and the service still drains. The single-job
+  // session submits first, so it reaches every stage first.
+  auto cp_a = workload::make_corpus(59, 12);
+  auto cp_b = workload::make_corpus(61, 30);
+  auto jobs_b = split_batches(cp_b.functions, 2);
+  StandaloneRun ref_b = run_standalone(cp_b, jobs_b, 67);
+
+  for (const std::string stage : {"craft", "resolve", "materialize"}) {
+    SCOPED_TRACE(stage);
+    auto fired = std::make_shared<std::atomic<bool>>(false);
+    engine::ServiceConfig sc;
+    sc.cache = std::make_shared<analysis::AnalysisCache>();
+    sc.stage_probe = [stage, fired](const char* s) {
+      if (s == stage && !fired->exchange(true))
+        throw std::runtime_error("probe threw at " + stage);
+    };
+    engine::ObfuscationService service(sc);
+    Image img_a = minic::compile(cp_a.module);
+    Image img_b = minic::compile(cp_b.module);
+    auto sess_a = service.open_session(&img_a, full_cfg(63));
+    auto sess_b = service.open_session(&img_b, full_cfg(67));
+
+    engine::JobHandle ha = sess_a->submit(cp_a.functions);
+    std::vector<engine::JobHandle> hb;
+    for (const auto& names : jobs_b) hb.push_back(sess_b->submit(names));
+
+    const engine::ModuleResult& ra = ha.wait();
+    ASSERT_TRUE(ra.error.has_value());
+    EXPECT_EQ(ra.error->kind, engine::ObfError::Kind::kStageFailure);
+    EXPECT_EQ(ra.error->stage, stage);
+    EXPECT_FALSE(ra.error->retryable);
+    EXPECT_EQ(ra.error->attempts, 1);
+    EXPECT_NE(ra.error->detail.find("probe threw"), std::string::npos);
+    EXPECT_TRUE(ra.results.empty());
+    for (std::size_t b = 0; b < hb.size(); ++b)
+      expect_same_results(hb[b].wait(), ref_b.results[b], "concurrent job");
+    service.shutdown();
+    expect_same_image(img_b, ref_b.img, "concurrent module");
+    auto st = service.stats();
+    EXPECT_EQ(st.jobs_quarantined, 1u);
+    EXPECT_EQ(st.jobs_completed, jobs_b.size());
+    EXPECT_EQ(st.stage_retries, 0u);
+  }
 }
 
 TEST(ServiceCancellation, DroppedHandlesCancelJobsBeforeResolve) {
