@@ -1,6 +1,6 @@
 #include "solver/expr.hpp"
 
-#include <functional>
+#include <algorithm>
 
 namespace raindrop::solver {
 
@@ -41,27 +41,48 @@ std::uint64_t fold(Ex op, std::uint64_t a, std::uint64_t b) {
     default: return 0;
   }
 }
+
+std::uint64_t hash_node(Ex op, std::uint8_t aux, ExprRef a, ExprRef b,
+                        ExprRef c, std::uint64_t cval) {
+  std::uint64_t h = static_cast<std::uint64_t>(op) * 0x9e3779b97f4a7c15ull;
+  h ^= cval + 0x517cc1b727220a95ull * (a + 1);
+  h ^= (std::uint64_t(b + 1) << 21) ^ (std::uint64_t(c + 1) << 42);
+  h ^= aux * 0xff51afd7ed558ccdull;
+  // Finalizer (murmur3 fmix64): linear probing wants every bit mixed.
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdull;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ull;
+  h ^= h >> 33;
+  return h;
+}
 }  // namespace
 
 ExprPool::ExprPool() {
   // Node 0: the constant 0 (handy canonical element).
-  Node z;
-  z.op = Ex::Const;
-  z.cval = 0;
-  nodes_.push_back(z);
+  rehash(64);
+  intern(Node{});
+}
+
+void ExprPool::rehash(std::size_t slots) {
+  table_.assign(slots, kNoExpr);
+  const std::size_t mask = slots - 1;
+  for (std::size_t r = 0; r < nodes_.size(); ++r) {
+    const Node& n = nodes_[r];
+    std::size_t i = hash_node(n.op, n.aux, n.a, n.b, n.c, n.cval) & mask;
+    while (table_[i] != kNoExpr) i = (i + 1) & mask;
+    table_[i] = static_cast<ExprRef>(r);
+  }
 }
 
 ExprRef ExprPool::intern(Node n) {
-  std::uint64_t h = static_cast<std::uint64_t>(n.op) * 0x9e3779b97f4a7c15ull;
-  h ^= n.cval + 0x517cc1b727220a95ull * (n.a + 1);
-  h ^= (std::uint64_t(n.b + 1) << 21) ^ (std::uint64_t(n.c + 1) << 42);
-  h ^= n.aux * 0xff51afd7ed558ccdull;
-  auto& bucket = buckets_[h];
-  for (ExprRef r : bucket) {
-    const Node& m = nodes_[r];
+  const std::size_t mask = table_.size() - 1;
+  std::size_t i = hash_node(n.op, n.aux, n.a, n.b, n.c, n.cval) & mask;
+  for (; table_[i] != kNoExpr; i = (i + 1) & mask) {
+    const Node& m = nodes_[table_[i]];
     if (m.op == n.op && m.aux == n.aux && m.a == n.a && m.b == n.b &&
         m.c == n.c && m.cval == n.cval)
-      return r;
+      return table_[i];
   }
   ExprRef r = static_cast<ExprRef>(nodes_.size());
   // Support computation.
@@ -74,7 +95,10 @@ ExprRef ExprPool::intern(Node n) {
     if (n.c != kNoExpr) n.support |= nodes_[n.c].support;
   }
   nodes_.push_back(n);
-  bucket.push_back(r);
+  if (2 * nodes_.size() > table_.size())
+    rehash(2 * table_.size());
+  else
+    table_[i] = r;
   return r;
 }
 
@@ -229,121 +253,163 @@ std::uint64_t ExprPool::eval(ExprRef root,
 
 std::uint32_t ExprPool::support(ExprRef r) const { return nodes_[r].support; }
 
-std::size_t ExprPool::node_count(ExprRef root) const {
-  std::vector<bool> seen(nodes_.size(), false);
-  std::vector<ExprRef> stack{root};
-  std::size_t count = 0;
-  while (!stack.empty()) {
-    ExprRef r = stack.back();
-    stack.pop_back();
-    if (seen[r]) continue;
-    seen[r] = true;
-    ++count;
-    const Node& n = nodes_[r];
-    for (ExprRef k : {n.a, n.b, n.c})
-      if (k != kNoExpr) stack.push_back(k);
-  }
-  return count;
-}
-
-ExprPool::Batch::Batch(const ExprPool& pool, std::span<const ExprRef> roots)
-    : pool_(pool), roots_(roots.begin(), roots.end()) {
+ExprPool::Batch::Batch(const ExprPool& pool, std::span<const ExprRef> roots) {
   pos_.assign(pool.nodes_.size(), 0);
   // Iterative DFS producing topological (post) order over the union DAG.
+  std::vector<ExprRef> order;
   std::vector<std::pair<ExprRef, bool>> stack;
-  for (ExprRef r : roots_) stack.push_back({r, false});
+  for (ExprRef r : roots) stack.push_back({r, false});
   while (!stack.empty()) {
     auto [r, expanded] = stack.back();
     stack.pop_back();
     if (pos_[r]) continue;
     const Node& n = pool.nodes_[r];
     if (expanded) {
-      pos_[r] = static_cast<std::uint32_t>(order_.size()) + 1;
-      order_.push_back(r);
+      pos_[r] = static_cast<std::uint32_t>(order.size()) + 1;
+      order.push_back(r);
       continue;
     }
     stack.push_back({r, true});
     for (ExprRef k : {n.a, n.b, n.c})
       if (k != kNoExpr && !pos_[k]) stack.push_back({k, false});
   }
-  values_.resize(order_.size());
-  flat_.resize(order_.size());
-  for (std::size_t i = 0; i < order_.size(); ++i) {
-    const Node& n = pool_.nodes_[order_[i]];
+  flat_.resize(order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const Node& n = pool.nodes_[order[i]];
     Flat f;
     f.op = n.op;
     f.aux = n.aux;
-    f.cval = n.cval;
     f.ia = n.a != kNoExpr ? pos_[n.a] - 1 : static_cast<std::uint32_t>(i);
     f.ib = n.b != kNoExpr ? pos_[n.b] - 1 : static_cast<std::uint32_t>(i);
     f.ic = n.c != kNoExpr ? pos_[n.c] - 1 : static_cast<std::uint32_t>(i);
     flat_[i] = f;
   }
+  for (ExprRef r : roots) root_slots_.push_back(pos_[r] - 1);
+  std::size_t fit = kLaneBytes / (sizeof(std::uint64_t) *
+                                 std::max<std::size_t>(flat_.size(), 1));
+  lanes_ = static_cast<int>(
+      std::clamp<std::size_t>(fit, 1, static_cast<std::size_t>(kMaxLanes)));
+  values_.resize(flat_.size() * static_cast<std::size_t>(lanes_));
+  for (std::size_t i = 0; i < order.size(); ++i)
+    if (flat_[i].op == Ex::Const)
+      std::fill_n(values_.begin() + static_cast<std::ptrdiff_t>(i * lanes_),
+                  lanes_, pool.nodes_[order[i]].cval);
+}
+
+namespace {
+using U = std::uint64_t;
+using S = std::int64_t;
+
+// One pass of `f` over the lanes of a node. Operand rows are lane arrays
+// of the same width, so the loops vectorise.
+template <class F>
+void lanewise(U* out, const U* a, const U* b, int n, F f) {
+  for (int l = 0; l < n; ++l) out[l] = f(a[l], b[l]);
+}
+template <class F>
+void lanewise(U* out, const U* a, int n, F f) {
+  for (int l = 0; l < n; ++l) out[l] = f(a[l]);
+}
+}  // namespace
+
+int ExprPool::Batch::first_true(const Input* inputs, int n) {
+  const std::size_t w = static_cast<std::size_t>(lanes_);
+  U* vals = values_.data();
+  for (std::size_t i = 0; i < flat_.size(); ++i) {
+    const Flat& f = flat_[i];
+    U* out = vals + i * w;
+    const U* a = vals + f.ia * w;
+    const U* b = vals + f.ib * w;
+    const int aux = f.aux;
+    switch (f.op) {
+      case Ex::Const: break;  // filled at construction
+      case Ex::Var:
+        for (int l = 0; l < n; ++l) out[l] = aux < 8 ? inputs[l][aux] : 0;
+        break;
+      case Ex::Add:
+        lanewise(out, a, b, n, [](U x, U y) { return x + y; });
+        break;
+      case Ex::Sub:
+        lanewise(out, a, b, n, [](U x, U y) { return x - y; });
+        break;
+      case Ex::Mul:
+        lanewise(out, a, b, n, [](U x, U y) { return x * y; });
+        break;
+      case Ex::UDiv:
+        lanewise(out, a, b, n, [](U x, U y) { return y ? x / y : 0; });
+        break;
+      case Ex::URem:
+        lanewise(out, a, b, n, [](U x, U y) { return y ? x % y : x; });
+        break;
+      case Ex::And:
+        lanewise(out, a, b, n, [](U x, U y) { return x & y; });
+        break;
+      case Ex::Or:
+        lanewise(out, a, b, n, [](U x, U y) { return x | y; });
+        break;
+      case Ex::Xor:
+        lanewise(out, a, b, n, [](U x, U y) { return x ^ y; });
+        break;
+      case Ex::Shl:
+        lanewise(out, a, b, n, [](U x, U y) { return x << (y & 63); });
+        break;
+      case Ex::LShr:
+        lanewise(out, a, b, n, [](U x, U y) { return x >> (y & 63); });
+        break;
+      case Ex::AShr:
+        lanewise(out, a, b, n,
+                 [](U x, U y) { return U(S(x) >> (y & 63)); });
+        break;
+      case Ex::Not: lanewise(out, a, n, [](U x) { return ~x; }); break;
+      case Ex::Neg: lanewise(out, a, n, [](U x) { return 0 - x; }); break;
+      case Ex::Eq:
+        lanewise(out, a, b, n, [](U x, U y) { return U(x == y); });
+        break;
+      case Ex::Ne:
+        lanewise(out, a, b, n, [](U x, U y) { return U(x != y); });
+        break;
+      case Ex::Ult:
+        lanewise(out, a, b, n, [](U x, U y) { return U(x < y); });
+        break;
+      case Ex::Slt:
+        lanewise(out, a, b, n, [](U x, U y) { return U(S(x) < S(y)); });
+        break;
+      case Ex::Ite: {
+        const U* c = vals + f.ic * w;
+        for (int l = 0; l < n; ++l) out[l] = a[l] ? b[l] : c[l];
+        break;
+      }
+      case Ex::SExt:
+        lanewise(out, a, n, [aux](U x) { return sext_bytes(x, aux); });
+        break;
+      case Ex::ZExt:
+        lanewise(out, a, n, [aux](U x) { return zext_bytes(x, aux); });
+        break;
+    }
+  }
+  for (int l = 0; l < n; ++l) {
+    bool ok = true;
+    for (std::uint32_t s : root_slots_)
+      if (vals[s * w + static_cast<std::size_t>(l)] == 0) {
+        ok = false;
+        break;
+      }
+    if (ok) return l;
+  }
+  return -1;
 }
 
 bool ExprPool::Batch::all_true(std::span<const std::uint8_t> input) {
-  std::uint64_t* vals = values_.data();
-  for (std::size_t i = 0; i < flat_.size(); ++i) {
-    const Flat& n = flat_[i];
-    std::uint64_t va = vals[n.ia];
-    std::uint64_t vb = vals[n.ib];
-    std::uint64_t v;
-    switch (n.op) {
-      case Ex::Const: v = n.cval; break;
-      case Ex::Var: v = n.aux < input.size() ? input[n.aux] : 0; break;
-      case Ex::Add: v = va + vb; break;
-      case Ex::Sub: v = va - vb; break;
-      case Ex::Mul: v = va * vb; break;
-      case Ex::And: v = va & vb; break;
-      case Ex::Or: v = va | vb; break;
-      case Ex::Xor: v = va ^ vb; break;
-      case Ex::Shl: v = va << (vb & 63); break;
-      case Ex::LShr: v = va >> (vb & 63); break;
-      case Ex::AShr:
-        v = static_cast<std::uint64_t>(static_cast<std::int64_t>(va) >>
-                                       (vb & 63));
-        break;
-      case Ex::Eq: v = va == vb; break;
-      case Ex::Ne: v = va != vb; break;
-      case Ex::Ult: v = va < vb; break;
-      case Ex::Slt:
-        v = static_cast<std::int64_t>(va) < static_cast<std::int64_t>(vb);
-        break;
-      case Ex::Not: v = ~va; break;
-      case Ex::Neg: v = 0 - va; break;
-      case Ex::Ite: v = va ? vb : vals[n.ic]; break;
-      case Ex::SExt: v = sext_bytes(va, n.aux); break;
-      case Ex::ZExt: v = zext_bytes(va, n.aux); break;
-      case Ex::UDiv: v = vb ? va / vb : 0; break;
-      case Ex::URem: v = vb ? va % vb : va; break;
-      default: v = 0; break;
-    }
-    vals[i] = v;
-  }
-  for (ExprRef r : roots_)
-    if (vals[pos_[r] - 1] == 0) return false;
-  return true;
+  // Var nodes read input bytes beyond input.size() as 0.
+  Input in{};
+  for (std::size_t k = 0; k < input.size() && k < in.size(); ++k)
+    in[k] = input[k];
+  return first_true(&in, 1) == 0;
 }
 
 std::uint64_t ExprPool::Batch::value_of(ExprRef r) const {
-  return pos_[r] ? values_[pos_[r] - 1] : 0;
-}
-
-std::string ExprPool::to_string(ExprRef r, int max_depth) const {
-  const Node& n = nodes_[r];
-  if (n.op == Ex::Const) return std::to_string(n.cval);
-  if (n.op == Ex::Var) return "in" + std::to_string(n.aux);
-  if (max_depth <= 0) return "...";
-  static const char* names[] = {"const", "var", "+", "-", "*", "/u", "%u",
-                                "&", "|", "^", "<<", ">>u", ">>s", "~",
-                                "neg", "==", "!=", "<u", "<s", "ite",
-                                "sext", "zext"};
-  std::string s = "(";
-  s += names[static_cast<int>(n.op)];
-  for (ExprRef k : {n.a, n.b, n.c})
-    if (k != kNoExpr) s += " " + to_string(k, max_depth - 1);
-  s += ")";
-  return s;
+  return pos_[r] ? values_[(pos_[r] - 1) * static_cast<std::size_t>(lanes_)]
+                 : 0;
 }
 
 }  // namespace raindrop::solver

@@ -5,11 +5,10 @@
 // 0/1 condition.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace raindrop::solver {
@@ -59,35 +58,42 @@ class ExprPool {
   std::uint32_t support(ExprRef r) const;
 
   std::size_t size() const { return nodes_.size(); }
-  std::size_t node_count(ExprRef r) const;  // reachable sub-DAG size
 
-  std::string to_string(ExprRef r, int max_depth = 6) const;
-
-  // Batch evaluator: pre-flattens the union DAG of a constraint set into
-  // topological order once, then evaluates each assignment with a single
-  // tight linear pass (shared subterms costed once). This is what makes
-  // exhaustive 2-byte enumeration tractable on hash-chain constraints.
+  // Batch evaluator (DESIGN.md §15): pre-flattens the union DAG of a
+  // constraint set into topological order once, then evaluates up to
+  // lanes() assignments per call in one node-major pass (shared
+  // subterms costed once, one dispatch per node for all lanes). This is
+  // what makes exhaustive 2-byte enumeration tractable on hash-chain
+  // constraints.
   class Batch {
    public:
+    using Input = std::array<std::uint8_t, 8>;
+    // Lane values are capped at kLaneBytes in total (and at kMaxLanes
+    // lanes), so a huge flattened DAG falls back to one lane.
+    static constexpr std::size_t kLaneBytes = 256 * 1024;
+    static constexpr int kMaxLanes = 32;
+
     Batch(const ExprPool& pool, std::span<const ExprRef> roots);
-    // Evaluates everything; returns true iff every root is nonzero.
+    int lanes() const { return lanes_; }
+    // Evaluates inputs[0..n) (1 <= n <= lanes()); returns the first index
+    // whose roots are all nonzero, or -1.
+    int first_true(const Input* inputs, int n);
+    // first_true on one input; returns true iff every root is nonzero.
     bool all_true(std::span<const std::uint8_t> input);
-    std::uint64_t value_of(ExprRef r) const;  // after a run
-    std::size_t node_count() const { return order_.size(); }
+    std::uint64_t value_of(ExprRef r) const;  // lane 0 of the last run
 
    private:
     struct Flat {
       Ex op;
       std::uint8_t aux;
       std::uint32_t ia, ib, ic;  // slot indices (self for unused)
-      std::uint64_t cval;
     };
-    const ExprPool& pool_;
-    std::vector<ExprRef> order_;               // topological
     std::vector<std::uint32_t> pos_;           // ExprRef -> slot (+1)
-    std::vector<Flat> flat_;                   // tight evaluation program
+    std::vector<Flat> flat_;                   // topological program
+    // Slot-major, lanes_ per slot; Const slots are filled once.
     std::vector<std::uint64_t> values_;
-    std::vector<ExprRef> roots_;
+    std::vector<std::uint32_t> root_slots_;
+    int lanes_ = 1;
   };
 
  private:
@@ -99,11 +105,14 @@ class ExprPool {
     std::uint32_t support = 0;
   };
   ExprRef intern(Node n);
+  void rehash(std::size_t slots);
 
   friend class Batch;
 
-  std::vector<Node> nodes_;
-  std::unordered_map<std::uint64_t, std::vector<ExprRef>> buckets_;
+  std::vector<Node> nodes_;  // ExprRef = index, dense in creation order
+  // Open-addressing hash-cons table over nodes_: power-of-two size,
+  // linear probing, at most half full; kNoExpr marks an empty slot.
+  std::vector<ExprRef> table_;
   // eval memo
   std::vector<std::uint64_t> memo_val_;
   std::vector<std::uint64_t> memo_stamp_;

@@ -23,8 +23,10 @@ bool Solver::satisfied(std::span<const ExprRef> constraints,
 }
 
 namespace {
-// Graded fitness over a pre-flattened batch: 0 when all constraints
-// hold; violated equalities contribute their Hamming distance.
+// Graded fitness for the local search over a pre-flattened batch: 0 when
+// all constraints hold; violated equalities score the Hamming distance
+// between their sides (guides hash-chain inversion); other violations
+// score a flat penalty.
 double batch_score(ExprPool& pool, ExprPool::Batch& batch,
                    std::span<const ExprRef> cs, const Assignment& a) {
   bool all = batch.all_true(a);
@@ -44,37 +46,6 @@ double batch_score(ExprPool& pool, ExprPool::Batch& batch,
   return total == 0 ? 0.5 : total;  // non-eq violations still nonzero
 }
 }  // namespace
-
-int Solver::violated_count(std::span<const ExprRef> constraints,
-                           const Assignment& a) {
-  int v = 0;
-  for (ExprRef c : constraints) {
-    ++stats_.evals;
-    if (pool_->eval(c, a) == 0) ++v;
-  }
-  return v;
-}
-
-// Graded fitness for the local search: satisfied constraints score 0;
-// violated equalities score the Hamming distance between their sides
-// (guides hash-chain inversion); other violations score a flat penalty.
-double Solver::score(std::span<const ExprRef> constraints,
-                     const Assignment& a) {
-  double total = 0;
-  for (ExprRef c : constraints) {
-    ++stats_.evals;
-    if (pool_->eval(c, a) != 0) continue;
-    double penalty = 64.0;
-    ExprRef lhs, rhs;
-    if (pool_->eq_operands(c, &lhs, &rhs)) {
-      std::uint64_t va = pool_->eval(lhs, a);
-      std::uint64_t vb = pool_->eval(rhs, a);
-      penalty = 4.0 + static_cast<double>(__builtin_popcountll(va ^ vb));
-    }
-    total += penalty;
-  }
-  return total;
-}
 
 std::optional<Assignment> Solver::solve(std::span<const ExprRef> constraints,
                                         int n_bytes,
@@ -125,14 +96,25 @@ std::optional<Assignment> Solver::solve(std::span<const ExprRef> constraints,
   }
   ExprPool::Batch batch(*pool_, live);
   if (bytes.size() <= 2) {
-    Assignment a = base;
-    std::uint32_t limit = bytes.size() == 1 ? 256 : 65536;
-    for (std::uint32_t v = 0; v < limit; ++v) {
-      if ((v & 0xff) == 0 && deadline.expired()) return done(std::nullopt);
-      a[bytes[0]] = v & 0xff;
-      if (bytes.size() == 2) a[bytes[1]] = (v >> 8) & 0xff;
-      ++stats_.evals;
-      if (batch.all_true(a)) return done(a);
+    // Values of v in increasing order, lanes() per batch call; the first
+    // satisfying lane is the first satisfying v, as one at a time.
+    const std::uint32_t limit = bytes.size() == 1 ? 256 : 65536;
+    const std::uint32_t lanes = static_cast<std::uint32_t>(batch.lanes());
+    std::vector<Assignment> chunk(lanes, base);
+    std::uint32_t next_poll = 0;
+    for (std::uint32_t v = 0; v < limit; v += lanes) {
+      if (v >= next_poll) {
+        if (deadline.expired()) return done(std::nullopt);
+        next_poll += 256;
+      }
+      const std::uint32_t n = std::min(lanes, limit - v);
+      for (std::uint32_t l = 0; l < n; ++l) {
+        chunk[l][bytes[0]] = (v + l) & 0xff;
+        if (bytes.size() == 2) chunk[l][bytes[1]] = ((v + l) >> 8) & 0xff;
+      }
+      int hit = batch.first_true(chunk.data(), static_cast<int>(n));
+      stats_.evals += hit < 0 ? n : static_cast<std::uint32_t>(hit) + 1;
+      if (hit >= 0) return done(chunk[hit]);
     }
     return done(std::nullopt);
   }

@@ -45,9 +45,6 @@ class Solver {
 
  private:
   bool satisfied(std::span<const ExprRef> constraints, const Assignment& a);
-  int violated_count(std::span<const ExprRef> constraints,
-                     const Assignment& a);
-  double score(std::span<const ExprRef> constraints, const Assignment& a);
 
   ExprPool* pool_;
   SolverStats stats_;

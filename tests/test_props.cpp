@@ -147,13 +147,8 @@ INSTANTIATE_TEST_SUITE_P(Controls, RewriterSweep,
 
 // ---- Solver round-trip sweep ------------------------------------------
 
-class SolverRoundTrip : public ::testing::TestWithParam<int> {};
-
-TEST_P(SolverRoundTrip, InvertsRandomTwoByteCircuits) {
-  int seed = GetParam();
-  Rng rng(static_cast<std::uint64_t>(seed));
-  solver::ExprPool pool;
-  // Random circuit over two input bytes.
+// Random circuit over two input bytes.
+solver::ExprRef random_circuit(Rng& rng, solver::ExprPool& pool) {
   auto in = pool.bin(solver::Ex::Or, pool.var(0),
                      pool.bin(solver::Ex::Shl, pool.var(1),
                               pool.constant(8)));
@@ -167,6 +162,16 @@ TEST_P(SolverRoundTrip, InvertsRandomTwoByteCircuits) {
       e = pool.bin(solver::Ex::Shl, e,
                    pool.constant(rng.below(8)));
   }
+  return e;
+}
+
+class SolverRoundTrip : public ::testing::TestWithParam<int> {};
+
+TEST_P(SolverRoundTrip, InvertsRandomTwoByteCircuits) {
+  int seed = GetParam();
+  Rng rng(static_cast<std::uint64_t>(seed));
+  solver::ExprPool pool;
+  solver::ExprRef e = random_circuit(rng, pool);
   solver::Assignment truth{};
   truth[0] = static_cast<std::uint8_t>(rng.next());
   truth[1] = static_cast<std::uint8_t>(rng.next());
@@ -179,6 +184,49 @@ TEST_P(SolverRoundTrip, InvertsRandomTwoByteCircuits) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SolverRoundTrip, ::testing::Range(1, 13));
+
+// Many solutions, several per lane batch: the lane-batched enumeration
+// must return the one the one-value-at-a-time scan finds first (lowest
+// in0 | in1 << 8), both with 32 lanes and, under a >= 32 k-node
+// constraint, with one lane.
+TEST(Solver, EnumerationReturnsFirstSolution) {
+  for (bool big : {false, true}) {
+    solver::ExprPool pool;
+    auto in0 = pool.var(0), in1 = pool.var(1);
+    std::vector<solver::ExprRef> cs{pool.eq(
+        pool.bin(solver::Ex::And, pool.bin(solver::Ex::Xor, in0, in1),
+                 pool.constant(0x0f)),
+        pool.constant(0x0a))};
+    if (big) {
+      // Always true, but 2 nodes per step: the batch outgrows the lane
+      // budget.
+      solver::ExprRef t = in0;
+      for (int i = 0; i < 16'500; ++i)
+        t = pool.add(t, pool.constant(static_cast<std::uint64_t>(i) + 1));
+      cs.push_back(pool.bin(solver::Ex::Ult,
+                            pool.bin(solver::Ex::And, t, pool.constant(0xff)),
+                            pool.constant(0x100)));
+      ASSERT_GE(pool.size(), 32'000u);
+    }
+    solver::ExprPool::Batch batch(pool, cs);
+    EXPECT_EQ(batch.lanes(), big ? 1 : solver::ExprPool::Batch::kMaxLanes);
+
+    solver::Solver s(&pool);
+    auto sol = s.solve(cs, 2, Deadline(30.0));
+    ASSERT_TRUE(sol.has_value()) << "big=" << big;
+    EXPECT_EQ(*sol, (solver::Assignment{0x0a, 0, 0, 0, 0, 0, 0, 0}));
+    // 0x0a + 1 values were tried up to and including the answer.
+    EXPECT_EQ(s.stats().evals, 0x0au + 1);
+
+    // The first solution several deadline polls in, off any lane
+    // boundary.
+    cs.push_back(pool.eq(in1, pool.constant(0x03)));
+    sol = s.solve(cs, 2, Deadline(30.0));
+    ASSERT_TRUE(sol.has_value()) << "big=" << big;
+    EXPECT_EQ(*sol,
+              (solver::Assignment{0x0a ^ 0x03, 0x03, 0, 0, 0, 0, 0, 0}));
+  }
+}
 
 // ---- Expression pool invariants ----------------------------------------
 
@@ -221,6 +269,139 @@ TEST(ExprPool, BatchMatchesPointEval) {
     bool point_ok = pool.eval(c1, a) != 0 && pool.eval(c2, a) != 0;
     ASSERT_EQ(batch_ok, point_ok);
     EXPECT_EQ(batch.value_of(e2), pool.eval(e2, a));
+  }
+}
+
+TEST(ExprPool, HashConsSurvivesGrowth) {
+  solver::ExprPool pool;
+  std::vector<solver::ExprRef> vars;
+  for (int b = 0; b < 8; ++b) vars.push_back(pool.var(b));
+  constexpr std::uint64_t kN = 60'000;  // 120 k nodes: several resizes
+  std::vector<solver::ExprRef> consts, xors, sums;
+  for (std::uint64_t i = 0; i < kN; ++i) {
+    std::size_t next = pool.size();
+    consts.push_back(pool.constant(i + 1));
+    ASSERT_EQ(consts.back(), next);
+    xors.push_back(pool.bin(solver::Ex::Xor, vars[i % 8], consts.back()));
+    ASSERT_EQ(xors.back(), next + 1);
+  }
+  // Sums of neighbours carry the union of their supports.
+  for (std::uint64_t i = 1; i < 1000; ++i) {
+    std::size_t next = pool.size();
+    sums.push_back(pool.add(xors[i - 1], xors[i]));
+    ASSERT_EQ(sums.back(), next);
+  }
+  const std::size_t size = pool.size();
+  EXPECT_EQ(size, 1 + 8 + 2 * kN + 999);
+  for (int b = 0; b < 8; ++b) {
+    EXPECT_EQ(pool.var(b), vars[b]);
+    EXPECT_EQ(pool.support(vars[b]), 1u << b);
+  }
+  for (std::uint64_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(pool.constant(i + 1), consts[i]);
+    ASSERT_EQ(pool.bin(solver::Ex::Xor, vars[i % 8], consts[i]), xors[i]);
+    ASSERT_EQ(pool.support(consts[i]), 0u);
+    ASSERT_EQ(pool.support(xors[i]), 1u << (i % 8));
+  }
+  for (std::uint64_t i = 1; i < 1000; ++i) {
+    ASSERT_EQ(pool.add(xors[i - 1], xors[i]), sums[i - 1]);
+    ASSERT_EQ(pool.support(sums[i - 1]),
+              (1u << ((i - 1) % 8)) | (1u << (i % 8)));
+  }
+  EXPECT_EQ(pool.constant(0), 0u);
+  EXPECT_EQ(pool.size(), size);
+}
+
+// Wraps a random circuit in the operators it lacks, so every case of the
+// batch evaluator runs.
+solver::ExprRef decorate(Rng& rng, solver::ExprPool& pool,
+                         solver::ExprRef e) {
+  using solver::Ex;
+  for (int i = 0; i < 4; ++i) {
+    switch (rng.below(6)) {
+      case 0: {
+        Ex ops[] = {Ex::Sub, Ex::UDiv, Ex::URem, Ex::And};
+        e = pool.bin(ops[rng.below(4)], e, pool.constant(rng.below(300)));
+        break;
+      }
+      case 1:
+        e = pool.bin(rng.chance(1, 2) ? Ex::LShr : Ex::AShr, e,
+                     pool.constant(rng.below(70)));
+        break;
+      case 2: e = pool.un(rng.chance(1, 2) ? Ex::Not : Ex::Neg, e); break;
+      case 3:
+        e = pool.ext(rng.chance(1, 2) ? Ex::SExt : Ex::ZExt, e,
+                     1 + static_cast<int>(rng.below(7)));
+        break;
+      case 4: {
+        Ex ops[] = {Ex::Eq, Ex::Ne, Ex::Ult, Ex::Slt};
+        auto c = pool.bin(ops[rng.below(4)], e,
+                          pool.constant(rng.next() & 0xffff));
+        e = pool.ite(c, e, pool.bin(Ex::Xor, e, pool.var(1)));
+        break;
+      }
+      default:
+        e = pool.bin(rng.chance(1, 2) ? Ex::UDiv : Ex::URem,
+                     pool.constant(rng.next()), e);
+        break;
+    }
+  }
+  return e;
+}
+
+TEST(ExprPool, LaneBatchMatchesPointEval) {
+  using solver::Ex;
+  for (int seed = 1; seed <= 40; ++seed) {
+    Rng rng(static_cast<std::uint64_t>(seed));
+    solver::ExprPool pool;
+    std::vector<solver::ExprRef> roots;
+    const int k = 1 + static_cast<int>(rng.below(5));
+    for (int r = 0; r < k; ++r) {
+      auto e = decorate(rng, pool, random_circuit(rng, pool));
+      auto c = pool.constant(rng.next() & 0xff);
+      switch (rng.below(3)) {
+        case 0: roots.push_back(pool.bin(Ex::Ne, e, c)); break;
+        case 1:
+          roots.push_back(pool.bin(
+              Ex::Ult, pool.bin(Ex::And, e, pool.constant(0xff)), c));
+          break;
+        default:
+          roots.push_back(pool.eq(pool.bin(Ex::And, e, pool.constant(1)),
+                                  pool.constant(rng.below(2))));
+          break;
+      }
+    }
+    solver::ExprPool::Batch batch(pool, roots);
+    ASSERT_EQ(batch.lanes(), solver::ExprPool::Batch::kMaxLanes);
+    // A batch rooted at every node, for value_of over the whole pool.
+    std::vector<solver::ExprRef> every(pool.size());
+    for (std::size_t r = 0; r < every.size(); ++r)
+      every[r] = static_cast<solver::ExprRef>(r);
+    solver::ExprPool::Batch whole(pool, every);
+
+    for (int n : {1, 7, batch.lanes()}) {
+      for (int trial = 0; trial < 20; ++trial) {
+        std::vector<solver::Assignment> in(static_cast<std::size_t>(n));
+        for (auto& a : in)
+          for (auto& byte : a) byte = static_cast<std::uint8_t>(rng.next());
+        int expect = -1;
+        for (int l = 0; l < n && expect < 0; ++l) {
+          bool all = true;
+          for (auto root : roots) all = all && pool.eval(root, in[l]) != 0;
+          if (all) expect = l;
+        }
+        ASSERT_EQ(batch.first_true(in.data(), n), expect)
+            << "seed " << seed << " n " << n << " trial " << trial;
+        for (auto root : roots)
+          ASSERT_EQ(batch.value_of(root), pool.eval(root, in[0]));
+        if (n == 1) {
+          whole.all_true(in[0]);
+          for (auto r : every)
+            ASSERT_EQ(whole.value_of(r), pool.eval(r, in[0]))
+                << "seed " << seed << " node " << r;
+        }
+      }
+    }
   }
 }
 
