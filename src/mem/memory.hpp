@@ -125,6 +125,11 @@ class Memory {
   // First region containing `addr` (same precedence as perm_at), or null.
   const Region* region_at(std::uint64_t addr) const;
 
+  // The page-TLB entry that `addr`'s page maps to (tests pin the spread).
+  static std::size_t tlb_entry(std::uint64_t addr) {
+    return PageTlb::index(addr >> kPageBits);
+  }
+
   // Deep copy (forking attack states, checkpoint/restore in tests).
   Memory clone() const;
 
@@ -142,7 +147,8 @@ class Memory {
   // defaulted special members and never reaches another Memory's slots.
   class PageTlb {
    public:
-    static constexpr std::size_t kEntries = 64;
+    static constexpr int kIndexBits = 6;
+    static constexpr std::size_t kEntries = std::size_t{1} << kIndexBits;
 
     PageTlb() = default;
     PageTlb(const PageTlb&) noexcept {}
@@ -157,13 +163,23 @@ class Memory {
       return *this;
     }
 
+    // A multiplicative index, not `key % kEntries`: the section bases
+    // (.text, .rodata, .data, .ropdata, heap) are all multiples of 64
+    // pages, so a modulo maps them to one entry, and page i of .text to
+    // the entry of page i of .ropdata, which a ROP chain reads in
+    // alternation. The top bits of key times an odd 64-bit constant
+    // (xxHash64's second prime) give each base its own entry.
+    static std::size_t index(std::uint64_t key) {
+      return static_cast<std::size_t>((key * 0xC2B2AE3D27D4EB4Full) >>
+                                      (64 - kIndexBits));
+    }
     // The cached slot for `key`, or null on a miss.
     PageSlot* find(std::uint64_t key) const {
-      const Entry& e = entries_[key % kEntries];
+      const Entry& e = entries_[index(key)];
       return e.key == key ? e.slot : nullptr;
     }
     void fill(std::uint64_t key, PageSlot* slot) {
-      entries_[key % kEntries] = Entry{key, slot};
+      entries_[index(key)] = Entry{key, slot};
     }
     void clear() { entries_.fill(Entry{}); }
 

@@ -1,6 +1,5 @@
 #include "rop/chain.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace raindrop::rop {
@@ -109,17 +108,6 @@ std::size_t Chain::gadget_slots() const {
         it.kind == ChainItem::Kind::GadgetRef)
       ++n;
   return n;
-}
-
-std::size_t Chain::unique_gadget_count(
-    std::span<const std::uint64_t> req_addrs) const {
-  // Sort-based dedup: chains hold hundreds of slots, and this runs once
-  // per committed function -- a std::set of that size is measurably
-  // slower (node allocation per insert).
-  std::vector<std::uint64_t> v = gadget_addrs(req_addrs);
-  std::sort(v.begin(), v.end());
-  return static_cast<std::size_t>(
-      std::unique(v.begin(), v.end()) - v.begin());
 }
 
 std::vector<std::uint64_t> Chain::gadget_addrs(

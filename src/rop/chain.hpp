@@ -150,9 +150,9 @@ class Chain {
       const;
 
   // Statistics for Table III; `req_addrs` as in materialize().
-  std::size_t gadget_slots() const;            // A contribution
-  std::size_t unique_gadget_count(
-      std::span<const std::uint64_t> req_addrs = {}) const;  // B (per chain)
+  std::size_t gadget_slots() const;  // A contribution
+  // Every gadget slot's address, in chain order (B counts the distinct
+  // ones).
   std::vector<std::uint64_t> gadget_addrs(
       std::span<const std::uint64_t> req_addrs = {}) const;
 

@@ -9,38 +9,50 @@
 // through the same records (Kind::kModule), making rewritten modules
 // durable, reloadable artifacts.
 //
-// Layout: one file per record at <dir>/<kind>/<key as %016x>.art. Each
+// Layout: a log-structured store (the Bitcask design, Sheehy & Smith
+// 2010). Each kind has a directory <dir>/<kind>/ of append-only segment
+// files, <number %08u>.seg. A segment is records back to back; each
 // record is a fixed 40-byte header (magic, format version, kind, key,
 // payload size, payload FNV-1a digest) followed by the payload bytes.
+// Opening a store hops the headers of every segment with pread(2),
+// oldest segment first, and builds an in-memory index key -> (segment,
+// offset, size, digest); a later copy of a key wins. get() is one
+// pread(2) of the payload plus the digest check.
 //
-// Crash consistency: writes go to a dot-prefixed temp file in the target
-// directory and are published with one atomic rename(2), so a reader --
-// same process or another -- sees either no record or a fully-written
-// record header; a crash mid-write leaves only a stray temp file that
-// get() never opens (prune() sweeps them). Torn or corrupted records
-// that DO carry the final name (emulated by the "store.write.torn" /
-// "store.read.corrupt" fault sites, or real disk rot) are caught by the
-// header + digest checks on read: the record is unlinked, counted as a
-// corrupt eviction, and the caller recomputes -- corruption is never
-// fatal and never alters output bytes (the recompute is content-equal by
-// construction).
+// Writers: every store instance appends only to its own segment,
+// created lazily with O_EXCL on its first put() and held under an
+// exclusive flock(2) for the instance's lifetime, so segments never
+// have two writers and a live writer is visible to other processes.
+//
+// Crash consistency: a crash mid-append leaves a torn tail -- a record
+// whose header or payload runs past the end of the file, or a header
+// that does not parse. Open stops framing there and truncates the tail
+// unless a live writer holds the segment (then the tail is an append in
+// flight). A record that is framed but lies about its contents (the
+// "store.write.torn" / "store.read.corrupt" fault sites, or real disk
+// rot) fails the digest check on read: it leaves the index, is counted
+// as a corrupt eviction, and the caller recomputes -- corruption is
+// never fatal and never alters output bytes (the recompute is
+// content-equal by construction, and its put() appends a later copy).
 //
 // Writes are asynchronous by default: put() enqueues onto one background
 // spiller thread (bounded queue; overflow degrades to a synchronous
-// write in the caller) so the craft hot path never waits on disk.
+// append in the caller) so the craft hot path never waits on disk.
 // flush() drains the queue -- call it before handing the directory to
-// another process. A record whose file already exists is skipped: same
-// key means same content, so rewrites are wasted IO.
+// another process. A key already in the index is skipped: same key
+// means same content, so rewrites are wasted IO.
 #pragma once
 
+#include <array>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <filesystem>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 namespace raindrop::store {
@@ -63,8 +75,8 @@ class ArtifactStore {
   struct Stats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
-    std::uint64_t spills = 0;             // records actually written
-    std::uint64_t corrupt_evictions = 0;  // bad records unlinked
+    std::uint64_t spills = 0;             // records actually appended
+    std::uint64_t corrupt_evictions = 0;  // bad records dropped from the index
     double hit_rate() const {
       std::uint64_t total = hits + misses;
       return total ? static_cast<double>(hits) / static_cast<double>(total)
@@ -72,30 +84,33 @@ class ArtifactStore {
     }
   };
 
-  // Opens (creating if needed) the store rooted at `dir`. `async_spill`
+  // Opens (creating if needed) the store rooted at `dir` and indexes its
+  // segments, truncating torn tails no live writer holds. `async_spill`
   // starts the background writer; false makes put() synchronous (the
   // inspector and deterministic tests use that).
   explicit ArtifactStore(std::string dir, bool async_spill = true);
-  // Flushes pending spills and joins the writer.
+  // Flushes pending spills, joins the writer and releases the segments.
   ~ArtifactStore();
 
   ArtifactStore(const ArtifactStore&) = delete;
   ArtifactStore& operator=(const ArtifactStore&) = delete;
 
   // Reads the record (kind, key). Returns the payload on a clean hit;
-  // nullopt on a miss OR on any header/digest mismatch (the corrupt
-  // record is unlinked and counted -- the caller recomputes).
+  // nullopt on a miss OR on a short read / digest mismatch (the corrupt
+  // record leaves the index and is counted -- the caller recomputes).
   std::optional<std::vector<std::uint8_t>> get(Kind kind, std::uint64_t key);
 
-  // Writes the record (kind, key) -> payload, atomically (temp + rename).
-  // Asynchronous when the spiller is running; a record that already
-  // exists on disk is skipped (content-addressed: same key, same bytes).
+  // Appends the record (kind, key) -> payload to this instance's
+  // segment. Asynchronous when the spiller is running; a key already in
+  // the index is skipped (content-addressed: same key, same bytes).
   void put(Kind kind, std::uint64_t key, std::vector<std::uint8_t> payload);
 
-  // Unlinks one record; used by owners whose post-parse validation
-  // (artifact integrity digest, dependency revalidation) rejected a
-  // record the container-level digest could not catch. Returns whether
-  // it existed; counted as a corrupt eviction.
+  // Drops one record from the index; used by owners whose post-parse
+  // validation (artifact integrity digest, dependency revalidation)
+  // rejected a record the container-level digest could not catch. Its
+  // bytes stay in the segment until a later put() supersedes them or
+  // prune() compacts them away. Returns whether it was indexed; counted
+  // as a corrupt eviction.
   bool evict(Kind kind, std::uint64_t key);
 
   // Blocks until every put() enqueued so far has landed on disk.
@@ -108,41 +123,75 @@ class ArtifactStore {
   struct EntryInfo {
     Kind kind = Kind::kAnalysis;
     std::uint64_t key = 0;
+    // Payload bytes; for an unframed tail, the tail's length.
     std::uint64_t payload_size = 0;
-    bool valid = false;  // header (and, with verify, digest) checks pass
-    std::string path;
+    bool valid = false;  // framed (and, with verify, digest checks pass)
+    std::string segment;      // segment file path
+    std::uint64_t offset = 0;  // record (header) start within the segment
   };
-  // Lists every record under `dir` (no store instance needed). With
-  // `verify`, payloads are read and digest-checked; without, only the
-  // header is validated against the file name and size.
+  // Lists every record of every segment under `dir`, superseded copies
+  // included, in kind / segment / offset order (no store instance
+  // needed). A torn tail is one invalid entry, unless a live writer holds
+  // the segment. With `verify`, payloads are read and digest-checked.
+  // Files that are not segments (old-layout `<key>.art` records) are
+  // ignored.
   static std::vector<EntryInfo> scan(const std::string& dir, bool verify);
-  // Removes invalid records and stray temp files; returns how many
-  // filesystem entries were deleted.
-  static std::size_t prune(const std::string& dir);
-  // Retention sweep: the validity pass above, then records whose last
-  // use (file mtime -- get() refreshes it on every hit, so mtime orders
-  // by last access, not creation) is older than `max_age_s`, then the
-  // least-recently-used records until the total record bytes on disk fit
-  // `max_bytes`. Pass 0 to disable either bound; (0, 0) degenerates to
-  // the plain validity prune. Returns how many entries were deleted.
-  static std::size_t prune(const std::string& dir, std::uint64_t max_bytes,
-                           std::uint64_t max_age_s);
+  // Compaction plus retention, over the segments no live writer holds.
+  // Compaction: every segment holding a dead byte (a corrupt or
+  // superseded record, a torn tail) has its live records -- each key's
+  // newest digest-valid copy -- copied into one fresh segment per kind
+  // and is deleted; old-layout `<key>.art` files and `.tmp` leftovers are
+  // deleted too. Retention then drops whole segments: those last used
+  // (segment mtime; a store instance refreshes it on its first hit in
+  // the segment, and appends refresh it) more than `max_age_s` ago, then
+  // the least recently used until the segment bytes fit `max_bytes`.
+  // Pass 0 to disable either bound. Returns how many records and stray
+  // files were removed.
+  static std::size_t prune(const std::string& dir, std::uint64_t max_bytes = 0,
+                           std::uint64_t max_age_s = 0);
 
  private:
+  struct Segment;  // an open segment file (store.cpp)
+  // Where the indexed copy of a key lives.
+  struct Loc {
+    std::uint32_t seg = 0;     // index into Shelf::segs
+    std::uint64_t offset = 0;  // payload start
+    std::uint64_t size = 0;
+    std::uint64_t digest = 0;  // from the header; checked on every get
+  };
+  // One kind's directory: its open segments and the key index over them.
+  struct Shelf {
+    std::string dir;
+    std::vector<std::unique_ptr<Segment>> segs;       // guarded by mu_
+    std::unordered_map<std::uint64_t, Loc> index;     // guarded by mu_
+    // This instance's append segment, created on the first append; the
+    // fields below are guarded by append_mu_.
+    std::uint32_t own = kNoSegment;
+    std::uint64_t own_end = 0;
+    std::uint64_t next_number = 0;  // first segment number to try
+  };
+  static constexpr std::uint32_t kNoSegment = ~std::uint32_t{0};
+
   struct Pending {
     Kind kind;
     std::uint64_t key;
     std::vector<std::uint8_t> payload;
   };
 
-  std::filesystem::path path_for(Kind kind, std::uint64_t key) const;
-  // The synchronous write (header build, torn-write fault site, temp
-  // file, rename). Returns whether a new record landed.
+  Shelf& shelf(Kind kind);
+  void open_shelf(Kind kind);
+  bool indexed(Kind kind, std::uint64_t key);
+  // The synchronous append (header build, torn-write fault site, one
+  // pwrite). Returns whether a new record landed.
   bool write_record(Kind kind, std::uint64_t key,
                     const std::vector<std::uint8_t>& payload);
   void spill_loop();
 
   std::string dir_;
+
+  std::mutex mu_;  // every Shelf's segs and index; shelves_[kind - 1]
+  std::array<Shelf, static_cast<std::size_t>(Kind::kResolvedPlan)> shelves_;
+  std::mutex append_mu_;  // serializes appends
 
   mutable std::mutex stats_mu_;
   Stats stats_;

@@ -476,9 +476,10 @@ TEST(AnalysisCacheTest, StoreTierPromotesAndHealsAcrossCaches) {
 }
 
 TEST(AnalysisCacheTest, TornSpillNeverServesAndHeals) {
-  // A spill torn mid-write (power loss between write and rename) carries
-  // the final record name but fails validation: the next process treats
-  // it as a miss, rebuilds byte-identically, and replaces it.
+  // A spill torn mid-write (power loss before the durability barrier)
+  // stays framed in its segment but fails the digest check: the next
+  // process treats it as a miss, rebuilds byte-identically, and appends
+  // a replacement.
   auto cp = workload::make_corpus(5, 40);
   Image img = minic::compile(cp.module);
   const FunctionSym* fn = nullptr;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 #include <stdexcept>
 #include <thread>
 
@@ -85,13 +86,51 @@ TEST(Memory, PageGenerationsAreCowIsolated) {
 }
 
 // Page-TLB coherence. Each test warms the TLB (reads and writes through
-// every page it later touches) before acting. The 64 test pages have
-// consecutive page keys, so all of them stay TLB-resident at once: every
-// later access is a hit on a slot cached before the act under test.
+// every page it later touches) before acting. Test page p < 64 is the
+// first page from 0x400000 up in TLB entry p, so all 64 stay
+// TLB-resident at once: every later access is a hit on a slot cached
+// before the act under test. Test page p + 64 is the next page in entry
+// p, so it shares page p's slot.
 constexpr std::uint64_t kTlbPages = 64;
 
+// The next page above `addr`'s that maps to the same TLB entry.
+std::uint64_t next_alias(std::uint64_t addr) {
+  std::uint64_t page = addr & ~(Memory::kPageSize - 1);
+  do {
+    page += Memory::kPageSize;
+  } while (Memory::tlb_entry(page) != Memory::tlb_entry(addr));
+  return page;
+}
+
 std::uint64_t tlb_addr(std::uint64_t page) {
-  return 0x400000 + page * Memory::kPageSize + 8 * (page % 16);
+  static const std::vector<std::uint64_t> pages = [] {
+    std::vector<std::uint64_t> out(2 * kTlbPages, 0);
+    std::size_t found = 0;
+    for (std::uint64_t a = 0x400000; found < kTlbPages; a += Memory::kPageSize)
+      if (out[Memory::tlb_entry(a)] == 0) {
+        out[Memory::tlb_entry(a)] = a;
+        ++found;
+      }
+    for (std::uint64_t p = 0; p < kTlbPages; ++p)
+      out[kTlbPages + p] = next_alias(out[p]);
+    return out;
+  }();
+  return pages.at(page) + 8 * (page % 16);
+}
+
+TEST(Memory, TlbSectionBasesGetDistinctEntries) {
+  // The first pages of every image section and the heap each keep their
+  // own entry, and page i of .text never evicts page i of .ropdata (a
+  // ROP chain reads both in alternation).
+  std::set<std::size_t> entries;
+  for (std::uint64_t base :
+       {kTextBase, kRodataBase, kDataBase, kRopDataBase, kHeapBase})
+    entries.insert(Memory::tlb_entry(base));
+  EXPECT_EQ(entries.size(), 5u);
+  for (std::uint64_t i = 0; i < kTlbPages; ++i)
+    EXPECT_NE(Memory::tlb_entry(kTextBase + i * Memory::kPageSize),
+              Memory::tlb_entry(kRopDataBase + i * Memory::kPageSize))
+        << "page " << i;
 }
 
 void warm_tlb(Memory& m, std::uint64_t base_value) {
@@ -165,8 +204,8 @@ TEST(Memory, TlbMovedFromMemoryAssignedAndReused) {
 
 TEST(Memory, TlbPageCreatedAfterCachedMiss) {
   Memory m;
-  // Page keys k and k + 64 share a direct-mapped TLB slot.
-  std::uint64_t hit = 0x7000, alias = hit + 64 * Memory::kPageSize;
+  // `alias` shares `hit`'s direct-mapped TLB slot.
+  std::uint64_t hit = 0x7000, alias = next_alias(hit);
   m.write_u64(hit, 5);
   EXPECT_EQ(m.read_u64(hit), 5u);
   const Memory& cm = m;
@@ -177,7 +216,7 @@ TEST(Memory, TlbPageCreatedAfterCachedMiss) {
   EXPECT_GT(cm.page_gen(alias), 0u);
   EXPECT_EQ(cm.read_u64(hit), 5u);
   // The same through write_bytes and a miss in the other direction.
-  std::uint64_t fresh = alias + 64 * Memory::kPageSize;
+  std::uint64_t fresh = next_alias(alias);
   EXPECT_EQ(cm.read_u8(fresh), 0u);
   std::vector<std::uint8_t> blob{1, 2, 3};
   m.write_bytes(fresh, blob);
@@ -217,7 +256,7 @@ TEST(Memory, TlbPageGenAndWriteEpochAdvanceThroughHits) {
 }
 
 TEST(Memory, TlbFrozenSnapshotReadByThreadsWhileClonesWrite) {
-  // Twice the TLB's reach: page p and page p + 64 share a slot, so
+  // Twice the TLB's reach: test pages p and p + 64 share a slot, so
   // every snapshot read below misses and would refill a shared slot if
   // a frozen Memory filled its TLB (a data race the sanitizers flag).
   constexpr std::uint64_t kPages = 2 * kTlbPages;

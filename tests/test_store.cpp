@@ -1,22 +1,25 @@
 // Persistent artifact-store tests (DESIGN.md §13): records must
 // round-trip byte-exactly, corruption in any form -- bit rot, torn
-// writes, truncation, stray temp files -- must be detected, evicted and
-// recomputed (never fatal, never output-changing), and a fresh process
-// over a populated store must produce byte-identical modules with a
-// perfect store hit rate.
+// writes, torn segment tails, leftover files -- must be detected,
+// evicted and recomputed (never fatal, never output-changing), and a
+// fresh process over a populated store must produce byte-identical
+// modules with a perfect store hit rate.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analysis/cache.hpp"
@@ -81,6 +84,41 @@ StoreRun run_corpus(const workload::Corpus& cp,
   return out;
 }
 
+// Every record of `kind` under `dir`, in segment / offset order.
+std::vector<ArtifactStore::EntryInfo> records_of(const fs::path& dir,
+                                                 Kind kind,
+                                                 bool verify = true) {
+  std::vector<ArtifactStore::EntryInfo> out;
+  for (auto& e : ArtifactStore::scan(dir.string(), verify))
+    if (e.kind == kind) out.push_back(std::move(e));
+  return out;
+}
+
+// The segment files under `dir`, all kinds.
+std::set<std::string> segment_files(const fs::path& dir) {
+  std::set<std::string> out;
+  for (const auto& e : fs::recursive_directory_iterator(dir))
+    if (e.is_regular_file() && e.path().extension() == ".seg")
+      out.insert(e.path().string());
+  return out;
+}
+
+// Disk rot: flips the low bit of the byte at `offset` of a segment.
+void flip_byte(const std::string& segment, std::uint64_t offset) {
+  std::fstream f(segment, std::ios::binary | std::ios::in | std::ios::out);
+  ASSERT_TRUE(f.good()) << segment;
+  f.seekg(static_cast<std::streamoff>(offset));
+  char c = 0;
+  f.get(c);
+  f.seekp(static_cast<std::streamoff>(offset));
+  f.put(static_cast<char>(c ^ 0x01));
+}
+
+// The last payload byte of a record scan() reported.
+std::uint64_t last_payload_byte(const ArtifactStore::EntryInfo& e) {
+  return e.offset + 40 + e.payload_size - 1;
+}
+
 void expect_same_image(const Image& a, const Image& b, const char* what) {
   for (const char* sec : {".ropdata", ".text", ".data", ".rodata"})
     EXPECT_EQ(a.section_bytes(sec), b.section_bytes(sec))
@@ -125,13 +163,22 @@ TEST(ArtifactStoreTest, AsyncSpillFlushLeavesNoTempFiles) {
     ASSERT_TRUE(got.has_value()) << "key " << k << " not durable after flush";
     EXPECT_EQ(*got, sample_payload(64 + k));
   }
-  // The atomic-publish protocol: after flush, only final .art names.
+  // After flush the directory holds one segment with every record framed
+  // and digest-clean, back to back, and nothing else.
   for (const auto& e : fs::recursive_directory_iterator(dir)) {
     if (!e.is_regular_file()) continue;
-    std::string name = e.path().filename().string();
-    EXPECT_NE(name[0], '.') << "stray temp file survived flush: " << name;
-    EXPECT_EQ(e.path().extension(), ".art");
+    EXPECT_EQ(e.path().extension(), ".seg") << "stray file: " << e.path();
   }
+  auto recs = records_of(dir, Kind::kCraftMemo);
+  ASSERT_EQ(recs.size(), 32u);
+  std::uint64_t next = 0;
+  for (const auto& e : recs) {
+    EXPECT_TRUE(e.valid) << "key " << e.key;
+    EXPECT_EQ(e.segment, recs.front().segment);
+    EXPECT_EQ(e.offset, next);
+    next = e.offset + 40 + e.payload_size;
+  }
+  EXPECT_EQ(fs::file_size(recs.front().segment), next);
   EXPECT_EQ(st.stats().spills, 32u);
 }
 
@@ -141,43 +188,47 @@ TEST(ArtifactStoreTest, BitFlippedRecordIsEvictedAndRewritable) {
   auto payload = sample_payload(100);
   st.put(Kind::kAnalysis, 7, payload);
 
-  // Disk rot: flip the last byte of the record file on disk.
-  fs::path rec = dir / "analysis" / "0000000000000007.art";
-  ASSERT_TRUE(fs::exists(rec));
-  {
-    std::fstream f(rec, std::ios::binary | std::ios::in | std::ios::out);
-    f.seekg(0, std::ios::end);
-    auto size = f.tellg();
-    f.seekp(static_cast<std::streamoff>(size) - 1);
-    char last;
-    f.seekg(static_cast<std::streamoff>(size) - 1);
-    f.get(last);
-    f.seekp(static_cast<std::streamoff>(size) - 1);
-    f.put(static_cast<char>(last ^ 0x01));
-  }
+  // Disk rot: flip the last payload byte of the record in its segment.
+  auto recs = records_of(dir, Kind::kAnalysis);
+  ASSERT_EQ(recs.size(), 1u);
+  flip_byte(recs[0].segment, last_payload_byte(recs[0]));
 
   EXPECT_FALSE(st.get(Kind::kAnalysis, 7).has_value());
   EXPECT_EQ(st.stats().corrupt_evictions, 1u);
-  EXPECT_FALSE(fs::exists(rec)) << "corrupt record left on disk";
+  // Out of the index: the next read is a plain miss, not a second
+  // eviction.
+  EXPECT_FALSE(st.get(Kind::kAnalysis, 7).has_value());
+  EXPECT_EQ(st.stats().corrupt_evictions, 1u);
 
   // The caller recomputes and re-puts; the store serves clean again.
   st.put(Kind::kAnalysis, 7, payload);
   auto healed = st.get(Kind::kAnalysis, 7);
   ASSERT_TRUE(healed.has_value());
   EXPECT_EQ(*healed, payload);
+  // The clean copy landed after the rotten one, so it wins at any open.
+  recs = records_of(dir, Kind::kAnalysis);
+  ASSERT_EQ(recs.size(), 2u);
+  EXPECT_FALSE(recs[0].valid);
+  EXPECT_TRUE(recs[1].valid);
+  EXPECT_GT(recs[1].offset, recs[0].offset);
+  ArtifactStore reopened(dir.string(), /*async_spill=*/false);
+  EXPECT_EQ(reopened.get(Kind::kAnalysis, 7), payload);
 }
 
 TEST(ArtifactStoreTest, TruncatedRecordIsEvicted) {
   fs::path dir = fresh_dir("store_truncated");
   ArtifactStore st(dir.string(), /*async_spill=*/false);
   st.put(Kind::kModule, 9, sample_payload(200));
-  fs::path rec = dir / "module" / "0000000000000009.art";
-  ASSERT_TRUE(fs::exists(rec));
-  fs::resize_file(rec, fs::file_size(rec) - 50);
+  auto recs = records_of(dir, Kind::kModule);
+  ASSERT_EQ(recs.size(), 1u);
+  fs::resize_file(recs[0].segment, fs::file_size(recs[0].segment) - 50);
 
+  // The indexed record now runs past the end of its segment: the read
+  // comes up short and evicts it.
   EXPECT_FALSE(st.get(Kind::kModule, 9).has_value());
   EXPECT_EQ(st.stats().corrupt_evictions, 1u);
-  EXPECT_FALSE(fs::exists(rec));
+  EXPECT_FALSE(st.get(Kind::kModule, 9).has_value());
+  EXPECT_EQ(st.stats().corrupt_evictions, 1u);
 }
 
 TEST(ArtifactStoreTest, TornWriteFaultIsDetectedOnRead) {
@@ -224,28 +275,233 @@ TEST(ArtifactStoreTest, ScanVerifyAndPrune) {
     for (std::uint64_t k = 1; k <= 3; ++k)
       st.put(Kind::kAnalysis, k, sample_payload(32 * k));
   }
-  // Sabotage: corrupt one record, plant a crash-leftover temp file and a
-  // wrongly-named file.
-  fs::path bad = dir / "analysis" / "0000000000000002.art";
-  fs::resize_file(bad, fs::file_size(bad) - 3);
+  // Sabotage: rot the middle record, plant a crash-leftover temp file and
+  // an old-layout record file.
+  auto recs = records_of(dir, Kind::kAnalysis);
+  ASSERT_EQ(recs.size(), 3u);
+  flip_byte(recs[1].segment, last_payload_byte(recs[1]));
   fs::path stray = dir / "analysis" / ".00000000deadbeef.0.tmp";
   std::ofstream(stray, std::ios::binary) << "partial";
-  fs::path bogus = dir / "analysis" / "notakey.art";
-  std::ofstream(bogus, std::ios::binary) << "junk";
+  fs::path old_layout = dir / "analysis" / "0000000000000002.art";
+  std::ofstream(old_layout, std::ios::binary) << "junk";
 
   auto entries = ArtifactStore::scan(dir.string(), /*verify=*/true);
-  ASSERT_EQ(entries.size(), 4u);  // 3 records + bogus; temp files hidden
+  ASSERT_EQ(entries.size(), 3u);  // only segment records are listed
   std::size_t valid = 0;
   for (const auto& e : entries) valid += e.valid ? 1 : 0;
   EXPECT_EQ(valid, 2u);
+  EXPECT_FALSE(entries[1].valid);
+  EXPECT_EQ(entries[1].key, 2u);
+  // Without verify, only framing is checked: all three are framed.
+  for (const auto& e : ArtifactStore::scan(dir.string(), /*verify=*/false))
+    EXPECT_TRUE(e.valid);
 
   std::size_t removed = ArtifactStore::prune(dir.string());
-  EXPECT_EQ(removed, 3u);  // truncated record + stray temp + bogus name
-  EXPECT_FALSE(fs::exists(bad));
+  EXPECT_EQ(removed, 3u);  // rotten record + stray temp + old-layout file
+  EXPECT_FALSE(fs::exists(recs[1].segment)) << "compacted segment kept";
   EXPECT_FALSE(fs::exists(stray));
-  EXPECT_FALSE(fs::exists(bogus));
+  EXPECT_FALSE(fs::exists(old_layout));
+  entries = ArtifactStore::scan(dir.string(), /*verify=*/true);
+  ASSERT_EQ(entries.size(), 2u);
+  for (const auto& e : entries) EXPECT_TRUE(e.valid);
+  EXPECT_EQ(entries[0].key, 1u);
+  EXPECT_EQ(entries[1].key, 3u);
+}
+
+TEST(ArtifactStoreTest, TornTailTruncatedAtOpenUnlessWriterLive) {
+  fs::path dir = fresh_dir("store_torn_tail");
+  {
+    ArtifactStore st(dir.string(), /*async_spill=*/false);
+    st.put(Kind::kHarvest, 1, sample_payload(90));
+    st.put(Kind::kHarvest, 2, sample_payload(70));
+  }
+  auto recs = records_of(dir, Kind::kHarvest);
+  ASSERT_EQ(recs.size(), 2u);
+  const std::string seg = recs[0].segment;
+  const std::uintmax_t clean_size = fs::file_size(seg);
+
+  // A crash mid-append: a whole header, then half the payload it
+  // announces.
+  std::vector<char> head(40 + 30);
+  {
+    std::ifstream in(seg, std::ios::binary);
+    in.read(head.data(), static_cast<std::streamsize>(head.size()));
+  }
+  std::ofstream(seg, std::ios::binary | std::ios::app)
+      .write(head.data(), static_cast<std::streamsize>(head.size()));
+  auto torn = records_of(dir, Kind::kHarvest);
+  ASSERT_EQ(torn.size(), 3u);
+  EXPECT_FALSE(torn[2].valid);
+  EXPECT_EQ(torn[2].offset, clean_size);
+
+  // Open cuts the tail, keeps both records, and appends after them in a
+  // segment of its own; a later open reads all three.
+  {
+    ArtifactStore st(dir.string(), /*async_spill=*/false);
+    EXPECT_EQ(fs::file_size(seg), clean_size);
+    EXPECT_EQ(st.get(Kind::kHarvest, 1), sample_payload(90));
+    EXPECT_EQ(st.get(Kind::kHarvest, 2), sample_payload(70));
+    st.put(Kind::kHarvest, 3, sample_payload(50));
+    EXPECT_EQ(st.get(Kind::kHarvest, 3), sample_payload(50));
+    EXPECT_EQ(st.stats().corrupt_evictions, 0u);
+  }
   for (const auto& e : ArtifactStore::scan(dir.string(), /*verify=*/true))
     EXPECT_TRUE(e.valid);
+  {
+    ArtifactStore st(dir.string(), /*async_spill=*/false);
+    EXPECT_EQ(st.get(Kind::kHarvest, 3), sample_payload(50));
+    EXPECT_DOUBLE_EQ(st.stats().hit_rate(), 1.0);
+  }
+
+  // A live writer's unframed tail is an append in flight: another open
+  // leaves it alone, and scan() does not report it.
+  ArtifactStore writer(dir.string(), /*async_spill=*/false);
+  writer.put(Kind::kHarvest, 4, sample_payload(40));
+  std::string live_seg;
+  for (const auto& e : records_of(dir, Kind::kHarvest))
+    if (e.key == 4) live_seg = e.segment;
+  ASSERT_FALSE(live_seg.empty());
+  const std::uintmax_t live_size = fs::file_size(live_seg);
+  std::ofstream(live_seg, std::ios::binary | std::ios::app)
+      .write(head.data(), static_cast<std::streamsize>(head.size()));
+  {
+    ArtifactStore reader(dir.string(), /*async_spill=*/false);
+    EXPECT_EQ(fs::file_size(live_seg), live_size + head.size());
+    EXPECT_EQ(reader.get(Kind::kHarvest, 4), sample_payload(40));
+  }
+  for (const auto& e : ArtifactStore::scan(dir.string(), /*verify=*/true))
+    EXPECT_TRUE(e.valid) << e.segment << " @ " << e.offset;
+}
+
+TEST(ArtifactStoreTest, InteriorBitFlipEvictsOnlyItsRecord) {
+  fs::path dir = fresh_dir("store_interior_flip");
+  {
+    ArtifactStore st(dir.string(), /*async_spill=*/false);
+    for (std::uint64_t k = 1; k <= 5; ++k)
+      st.put(Kind::kCraftMemo, k, sample_payload(50 + k));
+  }
+  auto recs = records_of(dir, Kind::kCraftMemo);
+  ASSERT_EQ(recs.size(), 5u);
+  ASSERT_EQ(recs[1].key, 2u);
+  flip_byte(recs[1].segment, recs[1].offset + 40 + 7);
+
+  ArtifactStore st(dir.string(), /*async_spill=*/false);
+  EXPECT_FALSE(st.get(Kind::kCraftMemo, 2).has_value());
+  EXPECT_EQ(st.stats().corrupt_evictions, 1u);
+  // The flip left the framing intact: the records after it still hit.
+  for (std::uint64_t k : {1, 3, 4, 5})
+    EXPECT_EQ(st.get(Kind::kCraftMemo, k), sample_payload(50 + k)) << k;
+  EXPECT_EQ(st.stats().hits, 4u);
+  EXPECT_EQ(st.stats().corrupt_evictions, 1u);
+}
+
+TEST(ArtifactStoreTest, SequentialInstancesShareOneDirectory) {
+  // The cross-process contract at the record level: a populate instance
+  // spills asynchronously and is destroyed; a restart instance over the
+  // same directory serves every record byte-identically with a 1.0 hit
+  // rate, and writes nothing.
+  fs::path dir = fresh_dir("store_sequential");
+  std::map<std::pair<Kind, std::uint64_t>, std::vector<std::uint8_t>> want;
+  {
+    ArtifactStore st(dir.string());
+    for (std::uint64_t k = 0; k < 60; ++k) {
+      Kind kind = k % 3 == 0 ? Kind::kAnalysis
+                  : k % 3 == 1 ? Kind::kCraftMemo
+                               : Kind::kResolvedPlan;
+      want[{kind, k * 0x9e3779b97f4a7c15ull}] = sample_payload(10 + 37 * k);
+    }
+    for (const auto& [id, payload] : want) st.put(id.first, id.second, payload);
+  }
+  const std::set<std::string> segments = segment_files(dir);
+  EXPECT_EQ(segments.size(), 3u);  // one per kind written
+
+  ArtifactStore st(dir.string());
+  for (const auto& [id, payload] : want)
+    EXPECT_EQ(st.get(id.first, id.second), payload);
+  for (const auto& [id, payload] : want) st.put(id.first, id.second, payload);
+  st.flush();
+  EXPECT_EQ(st.stats().hits, want.size());
+  EXPECT_EQ(st.stats().misses, 0u);
+  EXPECT_DOUBLE_EQ(st.stats().hit_rate(), 1.0);
+  EXPECT_EQ(st.stats().spills, 0u);
+  EXPECT_EQ(segment_files(dir), segments);
+}
+
+TEST(ArtifactStoreTest, ConcurrentPutsAndGetsShareOneSegment) {
+  // Craft threads probe while the spiller (and queue overflow) append to
+  // the instance's one segment: every get is a clean hit or a miss,
+  // never a torn read, and after flush every record is indexed.
+  fs::path dir = fresh_dir("store_concurrent");
+  ArtifactStore st(dir.string());
+  constexpr std::uint64_t kThreads = 4, kKeys = 200;
+  std::atomic<int> bad{0};
+  std::vector<std::thread> threads;
+  for (std::uint64_t t = 0; t < kThreads; ++t)
+    threads.emplace_back([&, t] {
+      for (std::uint64_t i = 0; i < kKeys; ++i) {
+        const std::uint64_t k = t * kKeys + i;
+        st.put(Kind::kHarvest, k, sample_payload(16 + k % 97));
+        const std::uint64_t other = ((t + 1) % kThreads) * kKeys + i;
+        auto got = st.get(Kind::kHarvest, other);
+        if (got && *got != sample_payload(16 + other % 97)) ++bad;
+      }
+    });
+  for (auto& th : threads) th.join();
+  st.flush();
+  EXPECT_EQ(bad.load(), 0);
+  EXPECT_EQ(st.stats().corrupt_evictions, 0u);
+  EXPECT_EQ(st.stats().spills, kThreads * kKeys);
+  for (std::uint64_t k = 0; k < kThreads * kKeys; ++k)
+    EXPECT_EQ(st.get(Kind::kHarvest, k), sample_payload(16 + k % 97)) << k;
+  EXPECT_EQ(segment_files(dir).size(), 1u);
+}
+
+TEST(ArtifactStoreTest, CompactionKeepsLiveRecordsAndDropsEvicted) {
+  fs::path dir = fresh_dir("store_compaction");
+  {
+    ArtifactStore st(dir.string(), /*async_spill=*/false);
+    for (std::uint64_t k = 1; k <= 6; ++k)
+      st.put(Kind::kAnalysis, k, sample_payload(20 * k));
+    // An owner rejects record 2 and re-puts its rebuild: the first copy
+    // is superseded.
+    EXPECT_TRUE(st.evict(Kind::kAnalysis, 2));
+    st.put(Kind::kAnalysis, 2, sample_payload(11));
+  }
+  {
+    // A second instance adds a record of its own.
+    ArtifactStore st(dir.string(), /*async_spill=*/false);
+    st.put(Kind::kAnalysis, 7, sample_payload(77));
+  }
+  auto recs = records_of(dir, Kind::kAnalysis);
+  ASSERT_EQ(recs.size(), 8u);
+  ASSERT_EQ(recs[4].key, 5u);
+  flip_byte(recs[4].segment, last_payload_byte(recs[4]));  // rot 5
+  const std::string first_seg = recs.front().segment;
+  const std::string second_seg = recs.back().segment;
+  ASSERT_NE(first_seg, second_seg);
+
+  // The superseded copy of 2 and the rotten 5 go; the first segment is
+  // rewritten, the clean second one is left as it is.
+  EXPECT_EQ(ArtifactStore::prune(dir.string()), 2u);
+  EXPECT_FALSE(fs::exists(first_seg));
+  EXPECT_TRUE(fs::exists(second_seg));
+  std::map<std::uint64_t, std::size_t> copies;
+  for (const auto& e : records_of(dir, Kind::kAnalysis)) {
+    EXPECT_TRUE(e.valid) << e.key;
+    ++copies[e.key];
+  }
+  EXPECT_EQ(copies, (std::map<std::uint64_t, std::size_t>{
+                        {1, 1}, {2, 1}, {3, 1}, {4, 1}, {6, 1}, {7, 1}}));
+
+  ArtifactStore st(dir.string(), /*async_spill=*/false);
+  for (std::uint64_t k : {1, 3, 4, 6})
+    EXPECT_EQ(st.get(Kind::kAnalysis, k), sample_payload(20 * k)) << k;
+  EXPECT_EQ(st.get(Kind::kAnalysis, 2), sample_payload(11));
+  EXPECT_EQ(st.get(Kind::kAnalysis, 7), sample_payload(77));
+  EXPECT_FALSE(st.get(Kind::kAnalysis, 5).has_value());
+  EXPECT_EQ(st.stats().corrupt_evictions, 0u);
+  // Compacting a compacted store is a no-op.
+  EXPECT_EQ(ArtifactStore::prune(dir.string()), 0u);
 }
 
 TEST(ArtifactStoreTest, ObfuscatedImageSerializationRoundTrips) {
@@ -288,8 +544,10 @@ TEST(ArtifactStoreTest, ModuleRecordRoundTripAndParseFailureEvicts) {
   // parse (stale encoder, bit rot that re-hashed) must evict, not throw.
   st.put(Kind::kModule, 0xdef, sample_payload(40));
   EXPECT_FALSE(store::get_module(st, 0xdef).has_value());
-  EXPECT_FALSE(fs::exists(dir / "module" / "0000000000000def.art"));
-  EXPECT_GE(st.stats().corrupt_evictions, 1u);
+  EXPECT_EQ(st.stats().corrupt_evictions, 1u);
+  // Evicted: the next probe misses without reaching the parser.
+  EXPECT_FALSE(st.get(Kind::kModule, 0xdef).has_value());
+  EXPECT_EQ(st.stats().corrupt_evictions, 1u);
 }
 
 TEST(ArtifactStoreTest, WarmRestartIsByteIdenticalWithPerfectHitRate) {
@@ -588,40 +846,50 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ArtifactStoreTest, RetentionPruneEvictsByAgeThenLru) {
   fs::path dir = fresh_dir("store_retention");
-  ArtifactStore st(dir.string(), /*async_spill=*/false);
-  // Four records of 200 bytes each on disk (160 payload + 40 header).
-  for (std::uint64_t k = 1; k <= 4; ++k)
+  // Four segments of 200 bytes each (160 payload + 40 header): one store
+  // instance per record, each appending to its own segment.
+  std::map<std::uint64_t, std::string> seg_of;
+  for (std::uint64_t k = 1; k <= 4; ++k) {
+    ArtifactStore st(dir.string(), /*async_spill=*/false);
     st.put(Kind::kAnalysis, k, sample_payload(160));
-  auto path_of = [&](std::uint64_t k) {
-    char name[32];
-    std::snprintf(name, sizeof(name), "%016llx.art",
-                  static_cast<unsigned long long>(k));
-    return dir / "analysis" / name;
-  };
+  }
+  for (const auto& e : records_of(dir, Kind::kAnalysis))
+    seg_of[e.key] = e.segment;
+  ASSERT_EQ(seg_of.size(), 4u);
+  ASSERT_EQ(segment_files(dir).size(), 4u);
   auto age = [&](std::uint64_t k, int seconds) {
-    fs::last_write_time(path_of(k), fs::file_time_type::clock::now() -
-                                        std::chrono::seconds(seconds));
+    fs::last_write_time(seg_of.at(k), fs::file_time_type::clock::now() -
+                                          std::chrono::seconds(seconds));
   };
 
-  // Age policy: records last used beyond max_age_s are expired.
+  // Age policy: segments last used beyond max_age_s are expired.
   age(1, 7200);
   EXPECT_EQ(ArtifactStore::prune(dir.string(), 0, 3600), 1u);
-  EXPECT_FALSE(fs::exists(path_of(1)));
-  EXPECT_TRUE(fs::exists(path_of(2)));
+  EXPECT_FALSE(fs::exists(seg_of[1]));
+  EXPECT_TRUE(fs::exists(seg_of[2]));
 
-  // LRU policy: 2 is the stalest on disk, but a get() refreshes its
-  // mtime, so the byte cap evicts 3 (now least recently used) instead.
-  // 3 x 200 = 600 bytes against a 450-byte cap: exactly one eviction.
+  // LRU policy: 2 is the stalest on disk, but the first get() of a store
+  // instance refreshes its segment's mtime, so the byte cap evicts 3
+  // (now least recently used) instead. 3 x 200 = 600 bytes against a
+  // 450-byte cap: exactly one eviction.
   age(2, 600);
   age(3, 300);
-  EXPECT_TRUE(st.get(Kind::kAnalysis, 2).has_value());
+  {
+    ArtifactStore st(dir.string(), /*async_spill=*/false);
+    EXPECT_TRUE(st.get(Kind::kAnalysis, 2).has_value());
+  }
   EXPECT_EQ(ArtifactStore::prune(dir.string(), 450, 0), 1u);
-  EXPECT_FALSE(fs::exists(path_of(3)));
-  EXPECT_TRUE(fs::exists(path_of(2)));
-  EXPECT_TRUE(fs::exists(path_of(4)));
+  EXPECT_FALSE(fs::exists(seg_of[3]));
+  EXPECT_TRUE(fs::exists(seg_of[2]));
+  EXPECT_TRUE(fs::exists(seg_of[4]));
 
-  // (0, 0) degenerates to the plain validity prune: nothing to remove.
+  // (0, 0) degenerates to plain compaction: nothing to remove. Nor does
+  // an age bound reaching back past the epoch expire anything.
   EXPECT_EQ(ArtifactStore::prune(dir.string(), 0, 0), 0u);
+  EXPECT_EQ(ArtifactStore::prune(dir.string(), 0,
+                                 std::numeric_limits<std::uint64_t>::max()),
+            0u);
+  EXPECT_EQ(segment_files(dir).size(), 2u);
 }
 
 TEST(ArtifactStoreTest, ServiceStoreDirWiresTheDiskTier) {

@@ -1,19 +1,25 @@
 // store_inspect: offline CLI over an ArtifactStore directory
-// (DESIGN.md §13). Lists records, verifies payload digests, or prunes
-// invalid records and stray temp files -- without constructing a store
-// instance, so it is safe to point at a directory another process is
-// actively spilling into (it only ever sees fully-published records).
+// (DESIGN.md §13). Lists the records of every segment, verifies payload
+// digests, or compacts and prunes segments -- without constructing a
+// store instance. It is safe to point at a directory other processes
+// are spilling into: a segment whose writer still holds its lock is
+// only read, and its unframed tail is taken as an append in flight.
 //
 //   store_inspect <dir> [list|verify|prune [--max-bytes N] [--max-age-s N]]
 //
-//   list    header-validate every record, print kind/key/size (default)
+//   list    frame every segment's records by their headers, print kind,
+//           key, payload size, segment and offset (default)
 //   verify  additionally read + digest-check payloads; exit 1 if any
-//           record is invalid
-//   prune   delete invalid records and stray temp files; with
-//           --max-bytes, additionally evict least-recently-used records
-//           until the store fits N bytes on disk; with --max-age-s,
-//           evict records last used more than N seconds ago (get()
-//           refreshes a record's mtime, so "used" means read or written)
+//           record is invalid or a segment ends in a torn tail
+//   prune   compact: copy each kind's live records (each key's newest
+//           digest-valid copy) out of segments holding corrupt,
+//           superseded or torn records into one fresh segment, delete
+//           those segments and old-layout <key>.art files; with
+//           --max-age-s, then delete segments last used more than N
+//           seconds ago; with --max-bytes, then delete the least
+//           recently used segments until the store fits N bytes. A
+//           segment's last use is its mtime: appends refresh it, and a
+//           store instance refreshes it on its first hit there.
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -38,14 +44,14 @@ int list_or_verify(const std::string& dir, bool verify) {
   auto entries = ArtifactStore::scan(dir, verify);
   std::size_t bad = 0;
   std::uint64_t bytes = 0;
-  std::printf("%-10s %-18s %10s  %-7s %s\n", "KIND", "KEY", "PAYLOAD",
-              "STATUS", "PATH");
+  std::printf("%-12s %-16s %10s  %-7s %s @ %s\n", "KIND", "KEY", "PAYLOAD",
+              "STATUS", "SEGMENT", "OFFSET");
   for (const auto& e : entries) {
     if (!e.valid) ++bad;
     bytes += e.payload_size;
-    std::printf("%-10s %016" PRIx64 " %10" PRIu64 "  %-7s %s\n",
+    std::printf("%-12s %016" PRIx64 " %10" PRIu64 "  %-7s %s @ %" PRIu64 "\n",
                 raindrop::store::kind_name(e.kind), e.key, e.payload_size,
-                e.valid ? "ok" : "INVALID", e.path.c_str());
+                e.valid ? "ok" : "INVALID", e.segment.c_str(), e.offset);
   }
   std::printf("%zu record(s), %" PRIu64 " payload byte(s), %zu invalid%s\n",
               entries.size(), bytes, bad,
