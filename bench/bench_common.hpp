@@ -19,7 +19,6 @@
 #include "image/image.hpp"
 #include "store/store.hpp"
 #include "minic/codegen.hpp"
-#include "rop/rewriter.hpp"
 #include "support/faultpoint.hpp"
 #include "support/stopwatch.hpp"
 #include "vmobf/vmobf.hpp"

@@ -157,7 +157,7 @@ int main() {
   // exercising the batch output is the stronger statement).
   int validated = 0, mismatches = 0;
   if (!smoke_mode()) {
-    Memory mem = parallel.img.load();
+    LoadedImage li = parallel.img.load_shared();
     int limit = full ? static_cast<int>(cp.runnable.size()) : 200;
     for (auto& name : cp.runnable) {
       if (validated >= limit) break;
@@ -168,7 +168,7 @@ int main() {
       minic::Interp in(cp.module);
       auto e = in.call(name, iargs);
       if (!e.ok) continue;
-      auto r = call_function(mem, f->addr, args);
+      auto r = call_function(li, f->addr, args);
       ++validated;
       if (r.status != CpuStatus::kHalted ||
           static_cast<std::int64_t>(r.rax) != e.value)

@@ -67,10 +67,10 @@ int main() {
     Image img = row.p1 || row.k > 0
                     ? build_rop(rf, row.p1, false, row.k, false, 21, nullptr)
                     : minic::compile(rf.module);
-    Memory mem = img.load();
+    LoadedImage li = img.load_shared();
     attack::SeConfig cfg;
     cfg.input_bytes = 1;
-    auto out = attack::se_attack(mem, img.function(rf.name)->addr, cfg,
+    auto out = attack::se_attack(li, img.function(rf.name)->addr, cfg,
                                  Deadline(budget));
     std::printf("  %-12s secret=%-3s  time=%6.2fs  states=%llu "
                 "solver=%llu\n",
@@ -90,8 +90,8 @@ int main() {
   for (bool p2 : {false, true}) {
     rop::RewriteResult rr;
     Image img = build_rop(rf, false, p2, 0, false, 22, &rr);
-    Memory mem = img.load();
-    auto out = attack::ropmemu_explore(mem, img.function(rf.name)->addr,
+    LoadedImage li = img.load_shared();
+    auto out = attack::ropmemu_explore(li, img.function(rf.name)->addr,
                                        rr.chain_addr, rr.chain_size, 0x41,
                                        Deadline(budget));
     std::printf("  P2=%-3s  baseline-blocks=%llu  flips=%llu  "
@@ -114,8 +114,8 @@ int main() {
   for (bool confusion : {false, true}) {
     rop::RewriteResult rr;
     Image img = build_rop(rf, false, true, 0, confusion, 23, &rr);
-    Memory mem = img.load();
-    auto out = attack::ropdissector_scan(mem, rr.chain_addr, rr.chain_size,
+    LoadedImage li = img.load_shared();
+    auto out = attack::ropdissector_scan(li.mem, rr.chain_addr, rr.chain_size,
                                          kTextBase,
                                          img.section_end(".text"), true);
     std::printf("  confusion=%-3s  aligned-slots=%llu  branch-sites=%llu  "
@@ -136,11 +136,11 @@ int main() {
   std::printf("[TDS trace simplification]\n");
   {
     Image plain = build_rop(rf, true, false, 0, false, 24, nullptr);
-    Memory pm = plain.load();
+    LoadedImage pm = plain.load_shared();
     auto t0 = attack::tds_simplify(pm, plain.function(rf.name)->addr, 0x41,
                                    1);
     Image p3 = build_rop(rf, true, false, 1.0, false, 25, nullptr);
-    Memory qm = p3.load();
+    LoadedImage qm = p3.load_shared();
     auto t1 = attack::tds_simplify(qm, p3.function(rf.name)->addr, 0x41, 1);
     std::printf("  ROP-P1:      trace=%-8llu reduction=%4.1f%%  "
                 "tainted-branches=%llu\n",

@@ -44,7 +44,7 @@ BENCHMARK(BM_CpuNative);
 void BM_CpuRopChain(benchmark::State& state) {
   auto rf = target();
   Image img = minic::compile(rf.module);
-  rop::Rewriter rw(&img, rop::rop_k(0.0, 3));
+  engine::ObfuscationEngine rw(&img, rop::rop_k(0.0, 3));
   if (!rw.rewrite_function(rf.name).ok) {
     state.SkipWithError("rewrite failed");
     return;
@@ -130,7 +130,7 @@ void BM_RewriteFunction(benchmark::State& state) {
   auto rf = target();
   for (auto _ : state) {
     Image img = minic::compile(rf.module);
-    rop::Rewriter rw(&img, rop::rop_k(0.5, 3));
+    engine::ObfuscationEngine rw(&img, rop::rop_k(0.5, 3));
     auto r = rw.rewrite_function(rf.name);
     benchmark::DoNotOptimize(r.stats.gadget_slots);
   }
@@ -234,7 +234,7 @@ int main(int argc, char** argv) {
   {
     auto rf = target();
     Image img = minic::compile(rf.module);
-    rop::Rewriter rw(&img, rop::rop_k(0.0, 3));
+    engine::ObfuscationEngine rw(&img, rop::rop_k(0.0, 3));
     if (rw.rewrite_function(rf.name).ok) {
       LoadedImage li = img.load_shared();
       std::uint64_t fn = img.function(rf.name)->addr;

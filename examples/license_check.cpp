@@ -22,13 +22,13 @@ int main() {
               (unsigned long long)rf.secret_input);
 
   auto attempt = [&](const char* label, Image& img, double budget) {
-    Memory mem = img.load();
+    LoadedImage li = img.load_shared();
     attack::DseConfig cfg;
     cfg.input_bytes = 2;
-    auto out = attack::dse_attack(mem, img.function(rf.name)->addr, cfg,
+    auto out = attack::dse_attack(li, img.function(rf.name)->addr, cfg,
                                   Deadline(budget));
     if (out.success) {
-      auto check = call_function(mem, img.function(rf.name)->addr,
+      auto check = call_function(li, img.function(rf.name)->addr,
                                  {{out.secret}});
       std::printf("%-10s attacker FOUND key 0x%llx in %.1fs "
                   "(%llu traces, verification -> %lld)\n",
@@ -56,8 +56,8 @@ int main() {
               "%llu bytes\n",
               (unsigned long long)res.chain_size);
   // Sanity: the protected binary still validates the real key.
-  Memory pm = prot.load();
-  auto ok = call_function(pm, prot.function(rf.name)->addr,
+  LoadedImage prot_li = prot.load_shared();
+  auto ok = call_function(prot_li, prot.function(rf.name)->addr,
                           {{static_cast<std::uint64_t>(rf.secret_input)}});
   std::printf("protected validator accepts the real key: %s\n",
               ok.rax == 1 ? "yes" : "NO (bug!)");

@@ -45,9 +45,9 @@ int main() {
               (unsigned long long)res.chain_size, res.stats.gadget_slots,
               res.stats.unique_gadgets, res.stats.gadgets_per_point);
 
-  Memory mem = img.load();
+  LoadedImage li = img.load_shared();
   for (std::int64_t x : {0ll, 7ll, -7ll}) {
-    auto r = call_function(mem, img.function("checked")->addr,
+    auto r = call_function(li, img.function("checked")->addr,
                            {{static_cast<std::uint64_t>(x)}});
     std::printf("checked(%3lld) = %lld  [%llu instructions through the "
                 "chain]\n",
@@ -57,7 +57,7 @@ int main() {
 
   std::printf("\nfirst chain entries (gadget addresses + data operands):\n");
   for (std::uint64_t off = 0; off < 96 && off < res.chain_size; off += 8) {
-    std::uint64_t q = mem.read_u64(res.chain_addr + off);
+    std::uint64_t q = li.mem.read_u64(res.chain_addr + off);
     const gadgets::Gadget* g = rewriter.pool().at(q);
     std::printf("  +0x%02llx: %016llx", (unsigned long long)off,
                 (unsigned long long)q);

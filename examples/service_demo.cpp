@@ -10,10 +10,10 @@
 #include <cstdio>
 #include <vector>
 
+#include "engine/engine.hpp"
 #include "engine/service.hpp"
 #include "image/image.hpp"
 #include "minic/codegen.hpp"
-#include "rop/rewriter.hpp"
 #include "workload/corpus.hpp"
 
 using namespace raindrop;
@@ -71,13 +71,13 @@ int main() {
 
   // Functional spot check: a rewritten function still runs.
   for (std::size_t m = 0; m < corpora.size(); ++m) {
-    Memory mem = images[m].load();
+    LoadedImage li = images[m].load_shared();
     for (const std::string& name : corpora[m].runnable) {
       const FunctionSym* f = images[m].function(name);
       if (!f || !f->rop_rewritten) continue;
       std::vector<std::uint64_t> args(
           static_cast<std::size_t>(f->arg_count), 3);
-      auto res = call_function(mem, f->addr, args);
+      auto res = call_function(li, f->addr, args);
       std::printf("module %zu: %s(3,...) = %lld through its chain\n", m,
                   name.c_str(), (long long)res.rax);
       break;

@@ -25,12 +25,10 @@ Assignment unpack(std::uint64_t v) {
   return a;
 }
 
-// One body serves the plain-Memory and LoadedImage entry points: the
-// shadow_run overload set routes the LoadedImage variant through the
-// CodeCache import.
-template <typename LoadedT>
-AttackOutcome dse_impl(const LoadedT& loaded, std::uint64_t fn_addr,
-                       const DseConfig& cfg, const Deadline& deadline) {
+}  // namespace
+
+AttackOutcome dse_attack(const LoadedImage& li, std::uint64_t fn_addr,
+                         const DseConfig& cfg, const Deadline& deadline) {
   AttackOutcome out;
   Stopwatch watch;
   ExprPool pool;
@@ -50,7 +48,7 @@ AttackOutcome dse_impl(const LoadedT& loaded, std::uint64_t fn_addr,
     queue.pop_front();
     ++out.traces;
 
-    ShadowResult tr = shadow_run(&pool, loaded, fn_addr, input,
+    ShadowResult tr = shadow_run(&pool, li, fn_addr, input,
                                  cfg.input_bytes, scfg);
     for (auto p : tr.probes) out.covered.insert(p);
 
@@ -132,18 +130,6 @@ AttackOutcome dse_impl(const LoadedT& loaded, std::uint64_t fn_addr,
   out.seconds = watch.seconds();
   out.solver_queries = solver.stats().queries;
   return out;
-}
-
-}  // namespace
-
-AttackOutcome dse_attack(const Memory& loaded, std::uint64_t fn_addr,
-                         const DseConfig& cfg, const Deadline& deadline) {
-  return dse_impl(loaded, fn_addr, cfg, deadline);
-}
-
-AttackOutcome dse_attack(const LoadedImage& li, std::uint64_t fn_addr,
-                         const DseConfig& cfg, const Deadline& deadline) {
-  return dse_impl(li, fn_addr, cfg, deadline);
 }
 
 }  // namespace raindrop::attack

@@ -9,7 +9,6 @@
 
 #include "attack/goals.hpp"
 #include "attack/shadow.hpp"
-#include "mem/memory.hpp"
 #include "support/stopwatch.hpp"
 
 namespace raindrop {
@@ -37,10 +36,7 @@ struct DseConfig {
   std::set<std::uint64_t> skip_pcs;
 };
 
-AttackOutcome dse_attack(const Memory& loaded, std::uint64_t fn_addr,
-                         const DseConfig& cfg, const Deadline& deadline);
-
-// Same attack against a frozen LoadedImage (Image::load_shared): every
+// Attacks `fn_addr` of a frozen LoadedImage (Image::load_shared): every
 // concolic trace re-clones the snapshot, so the prewarmed CodeCache is
 // imported once per trace instead of re-decoding the image each time --
 // the hot path of the table2/casestudy sweeps.

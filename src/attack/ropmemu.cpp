@@ -34,25 +34,15 @@ struct RunOutcome {
   bool derailed = false;
 };
 
-// Adapters so one exploration body serves both a plain loaded Memory
-// and a frozen LoadedImage with an importable CodeCache.
-Memory clone_loaded(const Memory& m) { return m.clone(); }
-Memory clone_loaded(const LoadedImage& li) { return li.mem.clone(); }
-void import_loaded(Cpu&, const Memory&) {}
-void import_loaded(Cpu& cpu, const LoadedImage& li) {
-  cpu.import_cache(li.cache);
-}
-
 // Executes from the function stub; flips the flags right before the
 // `flip_occurrence`-th flag-leaking instruction (cmov/setcc/adc) when
 // flip_occurrence >= 0.
-template <typename LoadedT>
-RunOutcome run_once(const LoadedT& loaded, std::uint64_t fn_addr,
+RunOutcome run_once(const LoadedImage& li, std::uint64_t fn_addr,
                     std::uint64_t chain_lo, std::uint64_t chain_hi,
                     std::uint64_t arg, long flip_occurrence) {
-  Memory mem = clone_loaded(loaded);
+  Memory mem = li.mem.clone();
   Cpu cpu(&mem);
-  import_loaded(cpu, loaded);
+  cpu.import_cache(li.cache);
   cpu.set_reg(Reg::RDI, arg);
   std::uint64_t rsp = kStackBase + kStackSize - 64 - 8;
   mem.write_u64(rsp, kHltPad);
@@ -86,14 +76,15 @@ RunOutcome run_once(const LoadedT& loaded, std::uint64_t fn_addr,
   return out;
 }
 
-template <typename LoadedT>
-RopMemuResult explore_impl(const LoadedT& loaded, std::uint64_t fn_addr,
-                           std::uint64_t chain_addr,
-                           std::uint64_t chain_size, std::uint64_t arg,
-                           const Deadline& deadline) {
+}  // namespace
+
+RopMemuResult ropmemu_explore(const LoadedImage& li, std::uint64_t fn_addr,
+                              std::uint64_t chain_addr,
+                              std::uint64_t chain_size, std::uint64_t arg,
+                              const Deadline& deadline) {
   RopMemuResult res;
   std::uint64_t hi = chain_addr + chain_size;
-  RunOutcome base = run_once(loaded, fn_addr, chain_addr, hi, arg, -1);
+  RunOutcome base = run_once(li, fn_addr, chain_addr, hi, arg, -1);
   res.chain_offsets = base.offsets;
   res.baseline_offsets = base.offsets.size();
 
@@ -101,7 +92,7 @@ RopMemuResult explore_impl(const LoadedT& loaded, std::uint64_t fn_addr,
   for (std::size_t i = 0; i < base.leak_sites.size(); ++i) {
     if (deadline.expired()) break;
     ++res.flips_attempted;
-    RunOutcome flipped = run_once(loaded, fn_addr, chain_addr, hi, arg,
+    RunOutcome flipped = run_once(li, fn_addr, chain_addr, hi, arg,
                                   static_cast<long>(i));
     if (flipped.derailed) {
       ++res.flips_derailed;
@@ -112,22 +103,6 @@ RopMemuResult explore_impl(const LoadedT& loaded, std::uint64_t fn_addr,
     if (res.chain_offsets.size() > before) ++res.flips_revealing;
   }
   return res;
-}
-
-}  // namespace
-
-RopMemuResult ropmemu_explore(const Memory& loaded, std::uint64_t fn_addr,
-                              std::uint64_t chain_addr,
-                              std::uint64_t chain_size, std::uint64_t arg,
-                              const Deadline& deadline) {
-  return explore_impl(loaded, fn_addr, chain_addr, chain_size, arg, deadline);
-}
-
-RopMemuResult ropmemu_explore(const LoadedImage& li, std::uint64_t fn_addr,
-                              std::uint64_t chain_addr,
-                              std::uint64_t chain_size, std::uint64_t arg,
-                              const Deadline& deadline) {
-  return explore_impl(li, fn_addr, chain_addr, chain_size, arg, deadline);
 }
 
 }  // namespace raindrop::attack

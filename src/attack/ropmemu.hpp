@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <set>
 
-#include "mem/memory.hpp"
 #include "support/stopwatch.hpp"
 
 namespace raindrop {
@@ -25,15 +24,10 @@ struct RopMemuResult {
   std::uint64_t flips_revealing = 0;      // flips that found new offsets
 };
 
-RopMemuResult ropmemu_explore(const Memory& loaded, std::uint64_t fn_addr,
-                              std::uint64_t chain_addr,
-                              std::uint64_t chain_size, std::uint64_t arg,
-                              const Deadline& deadline);
-
-// Same exploration against a frozen LoadedImage (Image::load_shared):
-// each emulation run clones the snapshot and imports its prewarmed
-// CodeCache (the per-insn hook demotes dispatch to the central loop,
-// but decode still starts warm).
+// Explores the chain of `fn_addr` in a frozen LoadedImage
+// (Image::load_shared): each emulation run clones the snapshot and
+// imports its prewarmed CodeCache (the per-insn hook demotes dispatch
+// to the central loop, but decode still starts warm).
 RopMemuResult ropmemu_explore(const LoadedImage& li, std::uint64_t fn_addr,
                               std::uint64_t chain_addr,
                               std::uint64_t chain_size, std::uint64_t arg,

@@ -19,7 +19,7 @@ std::uint64_t pack(const Assignment& a, int n) {
 }
 }  // namespace
 
-SeOutcome se_attack(const Memory& loaded, std::uint64_t fn_addr,
+SeOutcome se_attack(const LoadedImage& li, std::uint64_t fn_addr,
                     const SeConfig& cfg, const Deadline& deadline) {
   SeOutcome out;
   Stopwatch watch;
@@ -38,7 +38,7 @@ SeOutcome se_attack(const Memory& loaded, std::uint64_t fn_addr,
     queue.pop_front();
     ++out.traces;
 
-    ShadowResult tr = shadow_run(&pool, loaded, fn_addr, input,
+    ShadowResult tr = shadow_run(&pool, li, fn_addr, input,
                                  cfg.input_bytes, scfg);
     for (auto p : tr.probes) out.covered.insert(p);
 

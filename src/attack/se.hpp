@@ -25,7 +25,9 @@ struct SeOutcome : AttackOutcome {
   std::uint64_t states_forked = 0;
 };
 
-SeOutcome se_attack(const Memory& loaded, std::uint64_t fn_addr,
+// Attacks `fn_addr` of a frozen LoadedImage (Image::load_shared); each
+// explored state is one shadow_run over a fresh clone.
+SeOutcome se_attack(const LoadedImage& li, std::uint64_t fn_addr,
                     const SeConfig& cfg, const Deadline& deadline);
 
 }  // namespace raindrop::attack

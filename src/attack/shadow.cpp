@@ -19,10 +19,9 @@ namespace {
 
 class Shadow {
  public:
-  Shadow(ExprPool* pool, const Memory& loaded, const ShadowConfig& cfg,
-         std::shared_ptr<const CodeCache> cache = nullptr)
-      : pool_(pool), mem_(loaded.clone()), cpu_(&mem_), cfg_(cfg) {
-    if (cache) cpu_.import_cache(std::move(cache));
+  Shadow(ExprPool* pool, const LoadedImage& li, const ShadowConfig& cfg)
+      : pool_(pool), mem_(li.mem.clone()), cpu_(&mem_), cfg_(cfg) {
+    cpu_.import_cache(li.cache);
   }
 
   ShadowResult run(std::uint64_t fn_addr, std::uint64_t arg,
@@ -627,17 +626,10 @@ ShadowResult Shadow::run(std::uint64_t fn_addr, std::uint64_t arg,
 
 }  // namespace
 
-ShadowResult shadow_run(ExprPool* pool, const Memory& loaded,
-                        std::uint64_t fn_addr, std::uint64_t arg,
-                        int input_bytes, const ShadowConfig& cfg) {
-  Shadow sh(pool, loaded, cfg);
-  return sh.run(fn_addr, arg, input_bytes);
-}
-
 ShadowResult shadow_run(ExprPool* pool, const LoadedImage& li,
                         std::uint64_t fn_addr, std::uint64_t arg,
                         int input_bytes, const ShadowConfig& cfg) {
-  Shadow sh(pool, li.mem, cfg, li.cache);
+  Shadow sh(pool, li, cfg);
   return sh.run(fn_addr, arg, input_bytes);
 }
 

@@ -52,13 +52,9 @@ struct ShadowResult {
 
 // Runs `fn_addr` with the first argument register holding `arg`, whose
 // low `input_bytes` bytes are symbolic (solver vars 0..input_bytes-1).
-ShadowResult shadow_run(solver::ExprPool* pool, const Memory& loaded,
-                        std::uint64_t fn_addr, std::uint64_t arg,
-                        int input_bytes, const ShadowConfig& cfg);
-
-// Same run against a frozen LoadedImage (Image::load_shared): the
-// shadow CPU clones the snapshot and imports its prewarmed CodeCache,
-// so every concolic iteration over the same image starts warm.
+// The shadow CPU clones the frozen LoadedImage (Image::load_shared) and
+// imports its prewarmed CodeCache, so every concolic iteration over the
+// same image starts warm.
 ShadowResult shadow_run(solver::ExprPool* pool, const LoadedImage& li,
                         std::uint64_t fn_addr, std::uint64_t arg,
                         int input_bytes, const ShadowConfig& cfg);

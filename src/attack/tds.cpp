@@ -4,7 +4,7 @@
 
 namespace raindrop::attack {
 
-TdsResult tds_simplify(const Memory& loaded, std::uint64_t fn_addr,
+TdsResult tds_simplify(const LoadedImage& li, std::uint64_t fn_addr,
                        std::uint64_t input, int input_bytes,
                        std::uint64_t max_insns) {
   TdsResult out;
@@ -12,8 +12,7 @@ TdsResult tds_simplify(const Memory& loaded, std::uint64_t fn_addr,
   ShadowConfig cfg;
   cfg.collect_trace = true;
   cfg.max_insns = max_insns;
-  ShadowResult tr = shadow_run(&pool, loaded, fn_addr, input, input_bytes,
-                               cfg);
+  ShadowResult tr = shadow_run(&pool, li, fn_addr, input, input_bytes, cfg);
   out.trace_len = tr.trace.size();
 
   // Branch classification from the shadow's symbolic view: a conditional

@@ -10,7 +10,6 @@
 #include <set>
 
 #include "attack/shadow.hpp"
-#include "mem/memory.hpp"
 
 namespace raindrop::attack {
 
@@ -26,7 +25,9 @@ struct TdsResult {
   std::set<std::uint64_t> skip_pcs;
 };
 
-TdsResult tds_simplify(const Memory& loaded, std::uint64_t fn_addr,
+// Traces `fn_addr` of a frozen LoadedImage (Image::load_shared) on one
+// concrete input.
+TdsResult tds_simplify(const LoadedImage& li, std::uint64_t fn_addr,
                        std::uint64_t input, int input_bytes,
                        std::uint64_t max_insns = 3'000'000);
 

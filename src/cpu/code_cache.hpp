@@ -62,9 +62,11 @@ class CodeCache {
 };
 
 // Sweeps the [lo, hi) address ranges of `frozen` (typically function
-// bodies) and decodes every reachable superblock, exactly like
-// Cpu::prewarm. Returns nullptr unless `frozen.frozen()` -- a cache
-// anchored to mutable memory could never be revalidated soundly.
+// bodies) and decodes every superblock that starts on the linear sweep,
+// skipping undecodable bytes. This is the one warming path
+// (Image::load_shared builds it). Returns nullptr unless
+// `frozen.frozen()` -- a cache anchored to mutable memory could never
+// be revalidated soundly.
 std::shared_ptr<const CodeCache> build_code_cache(
     const Memory& frozen,
     std::span<const std::pair<std::uint64_t, std::uint64_t>> ranges);

@@ -307,32 +307,6 @@ CpuStatus Cpu::fetch_block(DecodedBlock** out, std::uint32_t* index) {
   return CpuStatus::kRunning;
 }
 
-void Cpu::prewarm(std::uint64_t lo, std::uint64_t hi) {
-  std::uint64_t a = lo;
-  while (a < hi) {
-    auto it = addr_index_.find(a);
-    if (it != addr_index_.end()) {
-      const DecodedBlock& b = *it->second.block;
-      if (block_valid(b)) {
-        std::uint64_t next = b.start + b.byte_len;
-        a = next > a ? next : a + 1;
-        continue;
-      }
-      ++stats_.stale_redecodes;
-      discard_block(b.start);
-    }
-    DecodedBlock nb = build_block(a);
-    ++stats_.blocks_built;
-    if (nb.insns.empty()) {
-      ++a;  // undecodable byte (data between functions): skip, no fault
-      continue;
-    }
-    std::uint64_t next = nb.start + nb.byte_len;
-    insert_block(std::move(nb));
-    a = next;
-  }
-}
-
 // ---- Dispatch ----------------------------------------------------------
 
 CpuStatus Cpu::run(std::uint64_t max_insns) {

@@ -188,14 +188,9 @@ class Cpu {
 
   // Coverage probes hit by TRACE instructions, in execution order.
   const std::vector<std::int64_t>& trace_probes() const { return probes_; }
-  void clear_trace_probes() { probes_.clear(); }
 
-  // Hook installation. set_insn_hook is the legacy single-hook entry
-  // point; set_hooks installs a full stratified bundle.
-  using InsnHook = HookSet::InsnHook;
-  void set_insn_hook(InsnHook hook) { hooks_.insn = std::move(hook); }
+  // Installs a stratified hook bundle (an empty HookSet detaches).
   void set_hooks(HookSet hooks) { hooks_ = std::move(hooks); }
-  const HookSet& hooks() const { return hooks_; }
 
   // Enforce NX: RIP must lie in a kPermX region. On by default; the image
   // loader maps regions. Tests running raw code can disable it. Toggling
@@ -213,7 +208,6 @@ class Cpu {
   // each instruction through the exec() reference switch -- the
   // reference the lowered path's differential tests compare against.
   void set_threaded_dispatch(bool on) { threaded_dispatch_ = on; }
-  bool threaded_dispatch() const { return threaded_dispatch_; }
 
   // Adopts a shared read-only CodeCache built over a frozen Memory
   // snapshot. Returns false (and imports nothing) unless this Cpu's
@@ -237,10 +231,6 @@ class Cpu {
     arena_.clear();
     rtc_.fill(RtcEntry{});
   }
-
-  // Decodes superblocks over [lo, hi) without executing, so a later run
-  // starts warm (the image loader uses this to pre-warm .text).
-  void prewarm(std::uint64_t lo, std::uint64_t hi);
 
   // Block-cache observability (tests, bench counters).
   struct CacheStats {

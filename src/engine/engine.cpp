@@ -42,7 +42,7 @@ ObfuscationEngine::ObfuscationEngine(
       ib::add_m(Reg::R11, MemRef::base_disp(Reg::R11)),
       ib::xchg_m(Reg::RSP, MemRef::base_disp(Reg::R11)),
   };
-  funcret_gadget_ = pool_.want(core, analysis::RegSet());
+  funcret_gadget_ = pool_.plant(core);
 
   // Seed the pool with gadgets already present in compiled code
   // ("program parts left unobfuscated", §IV-A1). The scan result is
@@ -161,7 +161,9 @@ std::uint64_t config_hash(const rop::ObfConfig& c) {
 // Tag separating craft-memo keys from other cache keys; bump with any
 // craft semantics change.
 constexpr std::uint64_t kCraftMemoTag = 0x435246540001ull;
-constexpr std::uint64_t kModuleRecordTag = 0x4d4f44554c450001ull;
+// Module-record key tag: bump with any change of the record layout, so
+// records in the old layout miss instead of failing to parse.
+constexpr std::uint64_t kModuleRecordTag = 0x4d4f44554c450002ull;
 
 }  // namespace
 
@@ -690,10 +692,12 @@ std::uint64_t ObfuscationEngine::module_key(
 // a virgin engine, probe for a finished module record before doing any
 // work. Output is bit-identical either way -- the record's key covers
 // every input of the deterministic build (image bytes, config, batch),
-// so a hit can only serve what this build would have produced, and
-// Image round-trips byte-exactly. `threads`/`shards` are deliberately
-// not in the key: output is bit-identical across both (see above). On a
-// miss the freshly built module is spilled for the next process.
+// so a hit can only serve what this build would have produced, and the
+// Image and per-function results round-trip exactly (a hit returns the
+// same `results` as the build that spilled the record). `threads`/
+// `shards` are deliberately not in the key: output is bit-identical
+// across both (see above). On a miss the freshly built module is
+// spilled for the next process.
 ModuleResult ObfuscationEngine::obfuscate_module(
     const std::vector<std::string>& names, int threads, int shards) {
   std::shared_ptr<store::ArtifactStore> st =
@@ -704,16 +708,12 @@ ModuleResult ObfuscationEngine::obfuscate_module(
 
   const std::uint64_t mkey = module_key(names);
   const std::uint64_t evictions_before = st->stats().corrupt_evictions;
-  if (std::optional<Image> loaded = store::get_module(*st, mkey)) {
+  if (std::optional<store::ModuleRecord> rec = store::get_module(*st, mkey)) {
     module_record_eligible_ = false;
-    *img_ = std::move(*loaded);
+    *img_ = std::move(rec->img);
     ModuleResult out;
-    // rop_rewritten travels inside the record, so per-function success
-    // is recoverable without the per-function results.
-    for (const std::string& n : names) {
-      const FunctionSym* f = img_->function(n);
-      if (f && f->rop_rewritten) ++out.ok_count;
-    }
+    out.results = std::move(rec->results);
+    for (const rop::RewriteResult& r : out.results) out.ok_count += r.ok;
     out.store_hits = 1;
     out.store_hit_rate = 1.0;
     return out;
@@ -721,7 +721,7 @@ ModuleResult ObfuscationEngine::obfuscate_module(
   ModuleResult out = materialize_module(
       resolve_module(craft_module(names, threads), threads, shards));
   if (!out.rejected && !out.cancelled) {
-    store::put_module(*st, mkey, *img_);
+    store::put_module(*st, mkey, *img_, out.results);
     ++out.store_misses;
     ++out.store_spills;
     out.store_corrupt_evictions +=

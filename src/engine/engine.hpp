@@ -282,8 +282,11 @@ class ObfuscationEngine {
   // deferred image commit. Consumes the ResolvedModule.
   ModuleResult materialize_module(ResolvedModule&& rm);
 
-  // Single-function convenience (a 1-element batch); the facade the
-  // legacy Rewriter API forwards to.
+  // Single-function convenience: obfuscate_module({name}) -- one
+  // element, one craft thread -- returning that element's result. Emits
+  // the chain into .ropdata, patches the body with a pivot stub and
+  // plants artificial gadgets in .text; rewriting an already-rewritten
+  // function fails.
   rop::RewriteResult rewrite_function(const std::string& name);
 
   // Aggregate gadget statistics across all commits so far (Table III).

@@ -34,7 +34,7 @@ std::uint64_t fnv1a(const std::string& s) {
 
 GadgetPool::GadgetPool(Image* img, std::uint64_t seed, int max_variants,
                        std::string section)
-    : img_(img), rng_(seed),
+    : img_(img),
       resolve_seed_(Rng(seed + 0x524553ull).next()),
       max_variants_(max_variants), section_(std::move(section)) {}
 
@@ -153,13 +153,15 @@ std::uint64_t GadgetPool::fingerprint() const {
   return h;
 }
 
-std::uint64_t GadgetPool::synthesize(std::span<const Insn> core, bool jop,
-                                     Reg jop_target, RegSet junk_allowed) {
+std::uint64_t GadgetPool::plant(std::span<const Insn> core) {
+  assert(!frozen_ && "plant() on a frozen pool");
   std::vector<std::uint8_t> bytes;
-  Gadget g = make_body(core, jop, jop_target, junk_allowed, rng_, &bytes);
+  for (const Insn& i : core) isa::encode(i, bytes);
+  isa::encode(isa::ib::ret(), bytes);
+  Gadget g;
+  g.body.assign(core.begin(), core.end());
   g.addr = img_->append(section_, bytes);
-  synth_bytes_ += bytes.size();
-  return register_owned(std::move(g), key_of(core, jop, jop_target))->addr;
+  return register_owned(std::move(g), key_of(core, false, Reg::RAX))->addr;
 }
 
 std::optional<std::uint64_t> GadgetPool::find_variant(const std::string& key,
@@ -169,45 +171,10 @@ std::optional<std::uint64_t> GadgetPool::find_variant(const std::string& key,
   std::vector<const Gadget*> fits;
   collect_fits(key, allowed_clobbers, &fits);
   if (fits.empty()) return std::nullopt;
-  if (jop) return fits.front()->addr;  // want_jop reuses without growing
+  if (jop) return fits.front()->addr;  // JOP gadgets reuse without growing
   bool may_grow = static_cast<int>(bank_size(key)) < max_variants_;
   if (may_grow && rng.chance(1, 3)) return std::nullopt;  // diversify
   return fits[rng.below(fits.size())]->addr;
-}
-
-std::uint64_t GadgetPool::resolve(const GadgetRequest& req) {
-  assert(!frozen_ && "resolve() on a frozen pool");
-  return req.jop ? want_jop(req.core, req.jop_target, req.allowed_clobbers)
-                 : want(req.core, req.allowed_clobbers);
-}
-
-std::uint64_t GadgetPool::want(std::span<const Insn> core,
-                               RegSet allowed_clobbers) {
-  assert(!frozen_ && "want() on a frozen pool");
-  const std::string key = key_of(core, false, Reg::RAX);
-  std::vector<const Gadget*> fits;
-  collect_fits(key, allowed_clobbers, &fits);
-  // Diversification policy: keep growing variants up to the budget, then
-  // pick uniformly among the fits (multiple equivalent gadgets serving
-  // one purpose at different program points, §I).
-  bool may_grow = static_cast<int>(bank_size(key)) < max_variants_;
-  if (fits.empty() || (may_grow && rng_.chance(1, 3)))
-    return synthesize(core, false, Reg::RAX, allowed_clobbers);
-  return fits[rng_.below(fits.size())]->addr;
-}
-
-std::uint64_t GadgetPool::want_jop(std::span<const Insn> core, Reg jop_target,
-                                   RegSet allowed_clobbers) {
-  assert(!frozen_ && "want_jop() on a frozen pool");
-  const std::string key = key_of(core, true, jop_target);
-  std::vector<const Gadget*> fits;
-  collect_fits(key, allowed_clobbers, &fits);
-  if (!fits.empty()) return fits.front()->addr;
-  return synthesize(core, true, jop_target, allowed_clobbers);
-}
-
-std::uint64_t GadgetPool::want_ret() {
-  return want(std::span<const Insn>{}, RegSet());
 }
 
 // -- Batch resolution ---------------------------------------------------
@@ -341,13 +308,17 @@ ResolvedPlan GadgetPool::plan_batch(std::span<const GadgetRequest* const> reqs,
           }
         };
         if (req.jop) {
-          // want_jop(): first fit, never diversify.
+          // JOP: first fit, never diversify.
           if (!fits.empty())
             take_fit(0);
           else
             plan_new();
           continue;
         }
+        // Diversification policy: keep growing variants up to the
+        // budget, then pick uniformly among the fits (multiple
+        // equivalent gadgets serving one purpose at different program
+        // points, §I).
         bool may_grow = static_cast<int>(bank_size(req.key) +
                                          planned_in_bank) < max_variants_;
         if (fits.empty() || (may_grow && rng.chance(1, 3)))
@@ -382,7 +353,6 @@ std::vector<std::uint64_t> GadgetPool::commit_plan(ResolvedPlan&& plan) {
             });
   for (Planned* pl : order) {
     pl->g.addr = img_->append(section_, pl->bytes);
-    synth_bytes_ += pl->bytes.size();
     register_owned(pl->g, pl->key);
   }
   for (std::size_t i = 0; i < p.addrs.size(); ++i) {

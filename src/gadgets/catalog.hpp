@@ -1,8 +1,11 @@
 // Gadget pool for the ROP encoder (§IV-A1). The paper's rewriter draws
 // from artificial gadgets planted as dead code in .text, combined with
 // gadgets already present in unobfuscated program parts. We do the same:
-//  * want() returns a gadget whose executed semantics equal the requested
-//    core instruction sequence (followed by ret / jmp reg),
+//  * plan_batch() + commit_plan() resolve every gadget request of a batch
+//    to a gadget whose executed semantics equal the requested core
+//    instruction sequence (followed by ret / jmp reg) -- the one way
+//    gadgets are chosen; find_variant() is the craft phase's read-only
+//    view of the same policy,
 //  * variants are diversified with dynamically-dead junk instructions
 //    that only touch caller-approved clobber registers (§V-D: one gadget
 //    serves different purposes; extra instructions are dynamically dead),
@@ -129,36 +132,26 @@ class GadgetPool {
   GadgetPool(Image* img, std::uint64_t seed, int max_variants = 4,
              std::string section = ".text");
 
-  // Returns the address of a ret-terminated gadget executing exactly
-  // `core`, whose extra side effects are registers within
-  // `allowed_clobbers`. Synthesizes a new (possibly junk-diversified)
-  // variant when needed.
-  std::uint64_t want(std::span<const isa::Insn> core, RegSet allowed_clobbers);
-
-  // Same, for a JOP gadget terminated by `jmp jop_target` (used by the
-  // stack-switching call sequence, §IV-B2 step C).
-  std::uint64_t want_jop(std::span<const isa::Insn> core, isa::Reg jop_target,
-                         RegSet allowed_clobbers);
-
-  // Plain `ret` gadget.
-  std::uint64_t want_ret();
+  // Appends a ret-terminated gadget executing exactly `core` -- no junk,
+  // no random draw -- and registers it in the overlay; returns its
+  // address. For fixed gadgets a client needs at a known address before
+  // any batch is planned (the engine's function-return gadget, §IV-B2).
+  std::uint64_t plant(std::span<const isa::Insn> core);
 
   // -- Immutable-after-build protocol ----------------------------------
   // Lifecycle per batch: the engine freezes the pool before the parallel
   // craft phase; frozen, the pool is a read-only catalog safe to share
-  // across threads (want()/resolve() assert; find_variant()/
-  // random_gadget_addr() are the concurrent-reader surface).
-  // plan_batch() then plans against the still-frozen catalog in
-  // parallel, and commit_plan() unfreezes it for the serial merge,
-  // leaving the pool unfrozen for the next batch.
+  // across threads (find_variant()/random_gadget_addr() are the
+  // concurrent-reader surface). plan_batch() then plans against the
+  // still-frozen catalog in parallel, and commit_plan() unfreezes it
+  // for the serial merge, leaving the pool unfrozen for the next batch.
   void freeze() { frozen_ = true; }
-  void unfreeze() { frozen_ = false; }
   bool frozen() const { return frozen_; }
 
   // Craft-phase lookup: picks an existing compatible variant with the
   // caller's rng, or returns nullopt to signal "record a GadgetRequest"
   // (no fit, or the variant bank may still grow and the rng opted to
-  // diversify -- mirroring the growth policy of want()). `key` is
+  // diversify -- mirroring the growth policy of plan_batch()). `key` is
   // key_of(core, jop, jop_target), computed once by the caller and
   // reused for the request.
   std::optional<std::uint64_t> find_variant(const std::string& key, bool jop,
@@ -217,10 +210,6 @@ class GadgetPool {
   std::optional<ResolvedPlan> plan_from_payload(
       std::span<const std::uint8_t> payload, std::size_t nreqs);
 
-  // Single-request resolution (pool must be unfrozen); the batch path
-  // above is what the engine uses. Kept for one-off callers.
-  std::uint64_t resolve(const GadgetRequest& req);
-
   // Scans [lo, hi) for pre-existing usable gadget bodies and registers
   // them (gadgets "already available in program parts left
   // unobfuscated"). With `cache`, the scan result is memoized in the
@@ -231,7 +220,6 @@ class GadgetPool {
 
   const Gadget* at(std::uint64_t addr) const;
   std::size_t unique_count() const;
-  std::size_t synthesized_bytes() const { return synth_bytes_; }
 
   // A uniformly random existing gadget address (0 if the pool is empty);
   // gadget confusion uses these as disguise bases for immediates (§V-D).
@@ -253,10 +241,8 @@ class GadgetPool {
   struct Planned;  // shard-local synthesized gadget awaiting an address
   friend struct ResolvedPlan::Impl;  // holds Planned across the 2a/2b hop
 
-  std::uint64_t synthesize(std::span<const isa::Insn> core, bool jop,
-                           isa::Reg jop_target, RegSet junk_allowed);
-  // The shared junk-diversification policy of synthesize() and
-  // plan_batch: draws from `rng` in a fixed order.
+  // plan_batch's junk-diversification policy: draws from `rng` in a
+  // fixed order.
   static Gadget make_body(std::span<const isa::Insn> core, bool jop,
                           isa::Reg jop_target, RegSet junk_allowed, Rng& rng,
                           std::vector<std::uint8_t>* bytes);
@@ -267,7 +253,6 @@ class GadgetPool {
                     std::vector<const Gadget*>* fits) const;
 
   Image* img_;
-  Rng rng_;
   std::uint64_t resolve_seed_;       // per-request stream base (commit)
   std::uint64_t next_request_ordinal_ = 0;
   int max_variants_;
@@ -277,7 +262,6 @@ class GadgetPool {
   std::deque<Gadget> owned_;         // synthesized; stable references
   std::unordered_map<std::string, std::vector<const Gadget*>> by_core_;
   std::map<std::uint64_t, const Gadget*> by_addr_;
-  std::size_t synth_bytes_ = 0;
   std::uint64_t overlay_fp_ = 0;     // running hash over register_owned()
 };
 

@@ -104,11 +104,6 @@ std::span<const std::uint8_t> Image::bytes_view(std::uint64_t addr,
   return {};
 }
 
-bool Image::in_section(const std::string& section, std::uint64_t addr) const {
-  const Section& s = sec(section);
-  return addr >= s.base && addr - s.base < s.bytes.size();
-}
-
 void Image::add_function(FunctionSym fn) { funcs_.push_back(std::move(fn)); }
 
 FunctionSym* Image::function(const std::string& name) {
@@ -130,12 +125,6 @@ const FunctionSym* Image::function_at(std::uint64_t addr) const {
 void Image::add_object(const std::string& name, std::uint64_t addr,
                        std::uint64_t size) {
   objects_[name] = {addr, size};
-}
-
-std::optional<std::uint64_t> Image::object_addr(const std::string& name) const {
-  auto it = objects_.find(name);
-  if (it == objects_.end()) return std::nullopt;
-  return it->second.first;
 }
 
 std::uint64_t Image::apply_commit(const DeferredCommit& dc) {
@@ -179,12 +168,6 @@ LoadedImage Image::load_shared() const {
   ranges.emplace_back(kHltPad, kHltPad + 1);  // sentinel return block
   li.cache = build_code_cache(li.mem, ranges);
   return li;
-}
-
-void Image::prewarm(Cpu* cpu) const {
-  for (const FunctionSym& f : funcs_) {
-    if (f.size > 0) cpu->prewarm(f.addr, f.addr + f.size);
-  }
 }
 
 std::vector<std::uint8_t> Image::serialize() const {
@@ -246,10 +229,12 @@ Image Image::deserialize(std::span<const std::uint8_t> payload) {
   return img;
 }
 
-namespace {
-CallResult call_on(Cpu& cpu, Memory& mem, std::uint64_t fn_addr,
-                   std::span<const std::uint64_t> args,
-                   std::uint64_t insn_budget) {
+CallResult call_function(const LoadedImage& li, std::uint64_t fn_addr,
+                         std::span<const std::uint64_t> args,
+                         std::uint64_t insn_budget) {
+  Memory mem = li.mem.clone();
+  Cpu cpu(&mem);
+  cpu.import_cache(li.cache);
   static const isa::Reg kArgRegs[] = {isa::Reg::RDI, isa::Reg::RSI,
                                       isa::Reg::RDX, isa::Reg::RCX,
                                       isa::Reg::R8,  isa::Reg::R9};
@@ -268,24 +253,6 @@ CallResult call_on(Cpu& cpu, Memory& mem, std::uint64_t fn_addr,
   r.probes = cpu.trace_probes();
   if (cpu.fault()) r.fault_reason = cpu.fault()->reason;
   return r;
-}
-}  // namespace
-
-CallResult call_function(const Memory& loaded, std::uint64_t fn_addr,
-                         std::span<const std::uint64_t> args,
-                         std::uint64_t insn_budget) {
-  Memory mem = loaded.clone();
-  Cpu cpu(&mem);
-  return call_on(cpu, mem, fn_addr, args, insn_budget);
-}
-
-CallResult call_function(const LoadedImage& li, std::uint64_t fn_addr,
-                         std::span<const std::uint64_t> args,
-                         std::uint64_t insn_budget) {
-  Memory mem = li.mem.clone();
-  Cpu cpu(&mem);
-  cpu.import_cache(li.cache);
-  return call_on(cpu, mem, fn_addr, args, insn_budget);
 }
 
 }  // namespace raindrop

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -32,9 +31,11 @@ inline constexpr std::uint64_t kStackSize = 0x100000;
 inline constexpr std::uint64_t kHltPad = 0x10000;  // sentinel return target
 
 // A frozen, shareable load of an image: the immutable Memory snapshot
-// plus a CodeCache pre-decoded over it (DESIGN.md §10). Execution
-// clones `mem` and imports `cache` so every call/run starts warm; the
-// lineage check inside Cpu::import_cache keeps the pairing sound.
+// plus a CodeCache pre-decoded over it (DESIGN.md §10). It is the one
+// input every run takes -- call_function and the attack engines
+// (dse / se / tds / ropmemu) clone `mem` and import `cache` so every
+// call/run starts warm; the lineage check inside Cpu::import_cache
+// keeps the pairing sound.
 struct LoadedImage {
   Memory mem;                              // frozen (Memory::freeze)
   std::shared_ptr<const CodeCache> cache;  // may be null (empty image)
@@ -75,7 +76,6 @@ class Image {
   // inside one section. Invalidated by the next append/reserve there.
   std::span<const std::uint8_t> bytes_view(std::uint64_t addr,
                                            std::size_t n) const;
-  bool in_section(const std::string& section, std::uint64_t addr) const;
 
   // -- Symbols ----------------------------------------------------------
   void add_function(FunctionSym fn);
@@ -85,9 +85,10 @@ class Image {
   std::vector<FunctionSym>& functions() { return funcs_; }
   const FunctionSym* function_at(std::uint64_t addr) const;
 
+  // Named data objects (the engine's stack-switching array); carried
+  // through serialize()/deserialize().
   void add_object(const std::string& name, std::uint64_t addr,
                   std::uint64_t size);
-  std::optional<std::uint64_t> object_addr(const std::string& name) const;
 
   // -- Deferred commit --------------------------------------------------
   // A batch of mutations prepared away from the image (the obfuscation
@@ -107,22 +108,17 @@ class Image {
   std::uint64_t apply_commit(const DeferredCommit& dc);
 
   // -- Loading ----------------------------------------------------------
-  // Materialises the image into a Memory (regions + bytes + stack + pad).
+  // Materialises the image into a mutable Memory (regions + bytes +
+  // stack + pad): the building block of load_shared(), and the input of
+  // callers that drive a raw Cpu over memory they patch while it runs.
   Memory load() const;
 
   // Materialises the image into a *frozen* Memory snapshot bundled with
   // a CodeCache pre-decoded over every function body (plus the HLT
-  // sentinel pad). The snapshot is immutable; execute against clones
-  // (call_function / the attack engines clone per run and import the
-  // cache, so every run starts warm). Callers that mutate the loaded
-  // memory before running keep using load().
+  // sentinel pad). The snapshot is immutable; every run executes against
+  // a clone (call_function / the attack engines clone per run and
+  // import the cache, so every run starts warm).
   LoadedImage load_shared() const;
-
-  // Pre-warms `cpu`'s superblock cache for every function body in .text
-  // (the cpu must execute a Memory produced by load() of this image).
-  // Purely an optimisation: page-generation checks keep pre-decoded
-  // blocks coherent even if the memory is patched afterwards.
-  void prewarm(Cpu* cpu) const;
 
   // -- Persistence (DESIGN.md §13) --------------------------------------
   // Lossless byte encoding of the whole image -- sections (bases, perms,
@@ -148,8 +144,10 @@ class Image {
 };
 
 // -- Execution helpers --------------------------------------------------
-// Calls a function in a fresh copy of the loaded memory following the
-// SysV-like convention (args in RDI,RSI,RDX,RCX,R8,R9; result in RAX).
+// Calls a function in a fresh clone of a frozen LoadedImage following
+// the SysV-like convention (args in RDI,RSI,RDX,RCX,R8,R9; result in
+// RAX). The clone imports the image's prewarmed CodeCache, so repeated
+// calls skip the per-call re-decode.
 struct CallResult {
   CpuStatus status = CpuStatus::kHalted;
   std::uint64_t rax = 0;
@@ -158,13 +156,6 @@ struct CallResult {
   std::string fault_reason;
 };
 
-CallResult call_function(const Memory& loaded, std::uint64_t fn_addr,
-                         std::span<const std::uint64_t> args,
-                         std::uint64_t insn_budget = 200'000'000);
-
-// Same call against a frozen LoadedImage: clones the snapshot and
-// imports its prewarmed CodeCache, so repeated calls skip the per-call
-// re-decode. Architecturally identical to the Memory overload.
 CallResult call_function(const LoadedImage& li, std::uint64_t fn_addr,
                          std::span<const std::uint64_t> args,
                          std::uint64_t insn_budget = 200'000'000);

@@ -56,7 +56,7 @@ struct Decoded {
 
 // Decodes one instruction from `bytes`. Returns nullopt on any malformed
 // byte (unknown opcode, bad cc/size field, truncated operand). Robust
-// against arbitrary input: this is what the gadget scanner and the
+// against arbitrary input: this is what the harvest scan and the
 // ROP-aware attacks run over raw memory.
 std::optional<Decoded> decode(std::span<const std::uint8_t> bytes);
 

@@ -110,7 +110,7 @@ class Crafter {
   // ---- emission helpers ----------------------------------------------
   // Gadget demand against the frozen pool: reuse an existing variant when
   // the pool offers one (stream-rng pick among fits, with the same 1-in-3
-  // growth policy want() applies), otherwise record a request that the
+  // growth policy plan_batch applies), otherwise record a request that the
   // engine resolves -- in deterministic function order -- at commit.
   void emit_gadget(std::vector<Insn> core, bool jop, Reg jop_target,
                    RegSet allowed) {

@@ -1,5 +1,3 @@
-#include "rop/rewriter.hpp"
-
 #include "rop/types.hpp"
 
 namespace raindrop::rop {

@@ -1,7 +1,7 @@
-// Slim public types shared by the rewriter facade, the chain-crafting
-// stage, and the batch ObfuscationEngine: the obfuscation configuration
-// (Table I's ROPk family), the failure taxonomy of the coverage study
-// (§VII-C1), and the per-function rewrite statistics (Table III).
+// Slim public types shared by the chain-crafting stage and the batch
+// ObfuscationEngine: the obfuscation configuration (Table I's ROPk
+// family), the failure taxonomy of the coverage study (§VII-C1), and the
+// per-function rewrite statistics (Table III).
 #pragma once
 
 #include <cstdint>

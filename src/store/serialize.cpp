@@ -1,5 +1,6 @@
 #include "store/serialize.hpp"
 
+#include <bit>
 #include <utility>
 
 namespace raindrop::store {
@@ -179,16 +180,51 @@ Image deserialize_image(std::span<const std::uint8_t> payload) {
   return Image::deserialize(payload);
 }
 
-void put_module(ArtifactStore& st, std::uint64_t key, const Image& img) {
-  st.put(Kind::kModule, key, img.serialize());
+void put_module(ArtifactStore& st, std::uint64_t key, const Image& img,
+                std::span<const rop::RewriteResult> results) {
+  binio::Writer w;
+  w.bytes(img.serialize());
+  w.u32(static_cast<std::uint32_t>(results.size()));
+  for (const rop::RewriteResult& r : results) {
+    w.u8(r.ok ? 1 : 0);
+    w.u32(static_cast<std::uint32_t>(r.failure));
+    w.str(r.detail);
+    w.u64(r.stats.program_points);
+    w.u64(r.stats.gadget_slots);
+    w.u64(r.stats.unique_gadgets);
+    w.u64(std::bit_cast<std::uint64_t>(r.stats.gadgets_per_point));
+    w.u64(r.stats.chain_bytes);
+    w.u64(r.chain_addr);
+    w.u64(r.chain_size);
+  }
+  st.put(Kind::kModule, key, w.take());
 }
 
-std::optional<Image> get_module(ArtifactStore& st, std::uint64_t key) {
+std::optional<ModuleRecord> get_module(ArtifactStore& st, std::uint64_t key) {
   std::optional<std::vector<std::uint8_t>> payload =
       st.get(Kind::kModule, key);
   if (!payload) return std::nullopt;
   try {
-    return Image::deserialize(*payload);
+    binio::Reader r(*payload);
+    ModuleRecord rec{Image::deserialize(r.bytes()), {}};
+    constexpr std::uint64_t kFailureLimit =
+        static_cast<std::uint64_t>(rop::RewriteFailure::RegisterPressure) + 1;
+    rec.results.resize(r.count(/*min_elem_bytes=*/65));
+    for (rop::RewriteResult& res : rec.results) {
+      res.ok = r.u8() != 0;
+      res.failure = checked_enum<rop::RewriteFailure>(r.u32(), kFailureLimit,
+                                                      "RewriteFailure");
+      res.detail = r.str();
+      res.stats.program_points = r.u64();
+      res.stats.gadget_slots = r.u64();
+      res.stats.unique_gadgets = r.u64();
+      res.stats.gadgets_per_point = std::bit_cast<double>(r.u64());
+      res.stats.chain_bytes = r.u64();
+      res.chain_addr = r.u64();
+      res.chain_size = r.u64();
+    }
+    if (!r.at_end()) throw binio::Error("module record: trailing bytes");
+    return rec;
   } catch (const binio::Error&) {
     st.evict(Kind::kModule, key);
     return std::nullopt;

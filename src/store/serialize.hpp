@@ -21,6 +21,7 @@
 #include "isa/insn.hpp"
 #include "rop/chain.hpp"
 #include "rop/predicates.hpp"
+#include "rop/types.hpp"
 #include "store/store.hpp"
 #include "support/binio.hpp"
 
@@ -38,17 +39,25 @@ rop::Chain read_chain(binio::Reader& r);
 void write_p1(binio::Writer& w, const rop::P1Array& p1);
 rop::P1Array read_p1(binio::Reader& r);
 
-// Whole-module records (Kind::kModule): a rewritten Image serialized
-// losslessly (sections + symbols + objects), so obfuscated modules are
-// durable artifacts a later process reloads and executes byte-for-byte.
+// Lossless Image encoding (sections + symbols + objects). Throws
+// binio::Error on malformed payloads.
 std::vector<std::uint8_t> serialize_image(const Image& img);
-// Throws binio::Error on malformed payloads.
 Image deserialize_image(std::span<const std::uint8_t> payload);
+
+// Whole-module records (Kind::kModule): the rewritten Image plus the
+// batch's per-function RewriteResults, so obfuscated modules are durable
+// artifacts a later process reloads and executes byte-for-byte, and a
+// record hit reports exactly what the build that spilled it reported.
+struct ModuleRecord {
+  Image img;
+  std::vector<rop::RewriteResult> results;  // parallel to the batch names
+};
 
 // Store round-trip helpers: put_module spills synchronously-queued like
 // any record; get_module returns nullopt on miss or corruption (the
 // store evicts the record; parse failures evict here).
-void put_module(ArtifactStore& st, std::uint64_t key, const Image& img);
-std::optional<Image> get_module(ArtifactStore& st, std::uint64_t key);
+void put_module(ArtifactStore& st, std::uint64_t key, const Image& img,
+                std::span<const rop::RewriteResult> results);
+std::optional<ModuleRecord> get_module(ArtifactStore& st, std::uint64_t key);
 
 }  // namespace raindrop::store

@@ -75,8 +75,8 @@ void ThreadPool::wait_idle() {
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
   if (workers_.empty() || n == 1) {
-    // Inline mode, and the single-item fast path: a 1-element batch (the
-    // Rewriter facade, a 1-shard resolve) runs on the calling thread --
+    // Inline mode, and the single-item fast path: a 1-element batch
+    // (rewrite_function, a 1-shard resolve) runs on the calling thread --
     // a queue round-trip buys no parallelism. Callers sharing one pool
     // across pipeline stages (the ObfuscationService) keep their worker
     // slots for batches that can actually fan out. Exceptions propagate

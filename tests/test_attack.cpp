@@ -8,14 +8,14 @@
 #include <cstdlib>
 
 #include "attack/dse.hpp"
-#include "solver/solver.hpp"
 #include "attack/ropdissector.hpp"
 #include "attack/ropmemu.hpp"
 #include "attack/se.hpp"
 #include "attack/tds.hpp"
+#include "engine/engine.hpp"
 #include "image/image.hpp"
 #include "minic/codegen.hpp"
-#include "rop/rewriter.hpp"
+#include "solver/solver.hpp"
 #include "vmobf/vmobf.hpp"
 #include "workload/randomfuns.hpp"
 
@@ -26,15 +26,25 @@ namespace {
 // an idle core flake when ctest -j packs CPU-bound suites next to this
 // one (the suite is also marked RUN_SERIAL in CMakeLists.txt for that
 // reason). RAINDROP_DEADLINE_SCALE widens every budget uniformly for
-// slower or shared machines; qualitative comparisons (protected needs
-// more work than plain) scale both sides, so conclusions are unchanged.
-Deadline dl(double seconds) {
+// slower or shared machines -- the attack deadlines and DSE's per-query
+// solver slice alike; qualitative comparisons (protected needs more work
+// than plain) scale both sides, so conclusions are unchanged.
+double deadline_scale() {
   static const double scale = [] {
     const char* e = std::getenv("RAINDROP_DEADLINE_SCALE");
     double s = (e && *e) ? std::atof(e) : 0.0;
     return s > 0.0 ? s : 1.0;
   }();
-  return Deadline{seconds * scale};
+  return scale;
+}
+
+Deadline dl(double seconds) { return Deadline{seconds * deadline_scale()}; }
+
+attack::DseConfig dse_config(int input_bytes) {
+  attack::DseConfig cfg;
+  cfg.input_bytes = input_bytes;
+  cfg.solver_slice_s *= deadline_scale();
+  return cfg;
 }
 
 workload::RandomFun fun(int control, minic::Type t, std::uint64_t seed) {
@@ -48,14 +58,13 @@ workload::RandomFun fun(int control, minic::Type t, std::uint64_t seed) {
 TEST(Dse, CracksNativeSecret) {
   auto rf = fun(0, minic::Type::I8, 1);
   Image img = minic::compile(rf.module);
-  Memory mem = img.load();
-  attack::DseConfig cfg;
-  cfg.input_bytes = 1;
-  auto out = attack::dse_attack(mem, img.function(rf.name)->addr, cfg,
+  LoadedImage li = img.load_shared();
+  attack::DseConfig cfg = dse_config(1);
+  auto out = attack::dse_attack(li, img.function(rf.name)->addr, cfg,
                                 dl(10.0));
   ASSERT_TRUE(out.success) << "traces=" << out.traces;
   // Verify the recovered secret concretely.
-  auto check = call_function(mem, img.function(rf.name)->addr,
+  auto check = call_function(li, img.function(rf.name)->addr,
                              {{out.secret}});
   EXPECT_EQ(check.rax, 1u);
 }
@@ -67,10 +76,9 @@ TEST(Dse, CracksNative2ByteSecret) {
   // substitution gap recorded in EXPERIMENTS.md.
   auto rf = fun(1, minic::Type::I16, 2);
   Image img = minic::compile(rf.module);
-  Memory mem = img.load();
-  attack::DseConfig cfg;
-  cfg.input_bytes = 2;
-  auto out = attack::dse_attack(mem, img.function(rf.name)->addr, cfg,
+  LoadedImage li = img.load_shared();
+  attack::DseConfig cfg = dse_config(2);
+  auto out = attack::dse_attack(li, img.function(rf.name)->addr, cfg,
                                 dl(20.0));
   EXPECT_TRUE(out.success) << "traces=" << out.traces;
 }
@@ -78,12 +86,11 @@ TEST(Dse, CracksNative2ByteSecret) {
 TEST(Dse, FullCoverageOnNative) {
   auto rf = fun(1, minic::Type::I8, 1);
   Image img = minic::compile(rf.module);
-  Memory mem = img.load();
-  attack::DseConfig cfg;
-  cfg.input_bytes = 1;
+  LoadedImage li = img.load_shared();
+  attack::DseConfig cfg = dse_config(1);
   cfg.goal = attack::Goal::kCodeCoverage;
   cfg.target_probes = rf.reachable_probes;
-  auto out = attack::dse_attack(mem, img.function(rf.name)->addr, cfg,
+  auto out = attack::dse_attack(li, img.function(rf.name)->addr, cfg,
                                 dl(20.0));
   EXPECT_TRUE(out.success)
       << out.covered.size() << "/" << rf.reachable_probes.size();
@@ -94,10 +101,9 @@ TEST(Dse, CracksOneLayerVm) {
   minic::Module obf = rf.module;
   ASSERT_TRUE(vmobf::virtualize(obf, rf.name, {7, false}));
   Image img = minic::compile(obf);
-  Memory mem = img.load();
-  attack::DseConfig cfg;
-  cfg.input_bytes = 1;
-  auto out = attack::dse_attack(mem, img.function(rf.name)->addr, cfg,
+  LoadedImage li = img.load_shared();
+  attack::DseConfig cfg = dse_config(1);
+  auto out = attack::dse_attack(li, img.function(rf.name)->addr, cfg,
                                 dl(30.0));
   EXPECT_TRUE(out.success);
 }
@@ -109,12 +115,11 @@ TEST(Dse, CracksPlainRopChain) {
   Image img = minic::compile(rf.module);
   rop::ObfConfig c;
   c.seed = 5;  // no predicates
-  rop::Rewriter rw(&img, c);
-  ASSERT_TRUE(rw.rewrite_function(rf.name).ok);
-  Memory mem = img.load();
-  attack::DseConfig cfg;
-  cfg.input_bytes = 1;
-  auto out = attack::dse_attack(mem, img.function(rf.name)->addr, cfg,
+  engine::ObfuscationEngine eng(&img, c);
+  ASSERT_TRUE(eng.rewrite_function(rf.name).ok);
+  LoadedImage li = img.load_shared();
+  attack::DseConfig cfg = dse_config(1);
+  auto out = attack::dse_attack(li, img.function(rf.name)->addr, cfg,
                                 dl(30.0));
   EXPECT_TRUE(out.success);
 }
@@ -124,19 +129,18 @@ TEST(Dse, P3FloodsThePathSpace) {
   // the same goal (or fails within the small budget).
   auto rf = fun(0, minic::Type::I8, 5);
   Image plain_img = minic::compile(rf.module);
-  Memory plain_mem = plain_img.load();
-  attack::DseConfig cfg;
-  cfg.input_bytes = 1;
+  LoadedImage plain_li = plain_img.load_shared();
+  attack::DseConfig cfg = dse_config(1);
   auto plain = attack::dse_attack(
-      plain_mem, plain_img.function(rf.name)->addr, cfg, dl(10.0));
+      plain_li, plain_img.function(rf.name)->addr, cfg, dl(10.0));
   ASSERT_TRUE(plain.success);
 
   Image rop_img = minic::compile(rf.module);
-  rop::Rewriter rw(&rop_img, rop::rop_k(1.0, 6));
-  ASSERT_TRUE(rw.rewrite_function(rf.name).ok);
-  Memory rop_mem = rop_img.load();
+  engine::ObfuscationEngine eng(&rop_img, rop::rop_k(1.0, 6));
+  ASSERT_TRUE(eng.rewrite_function(rf.name).ok);
+  LoadedImage rop_li = rop_img.load_shared();
   auto prot = attack::dse_attack(
-      rop_mem, rop_img.function(rf.name)->addr, cfg, dl(3.0));
+      rop_li, rop_img.function(rf.name)->addr, cfg, dl(3.0));
   // Either it failed in-budget or it needed clearly more work.
   if (prot.success) {
     EXPECT_GT(prot.seconds * 3 + static_cast<double>(prot.traces),
@@ -149,10 +153,10 @@ TEST(Dse, P3FloodsThePathSpace) {
 TEST(Se, NativeCrackFastRopP1Slow) {
   auto rf = fun(0, minic::Type::I8, 7);
   Image plain_img = minic::compile(rf.module);
-  Memory plain_mem = plain_img.load();
+  LoadedImage plain_li = plain_img.load_shared();
   attack::SeConfig cfg;
   cfg.input_bytes = 1;
-  auto plain = attack::se_attack(plain_mem,
+  auto plain = attack::se_attack(plain_li,
                                  plain_img.function(rf.name)->addr, cfg,
                                  dl(10.0));
   ASSERT_TRUE(plain.success);
@@ -161,10 +165,10 @@ TEST(Se, NativeCrackFastRopP1Slow) {
   rop::ObfConfig c;
   c.seed = 8;
   c.p1 = true;  // P1 only: the aliasing experiment of §VII-A1
-  rop::Rewriter rw(&rop_img, c);
-  ASSERT_TRUE(rw.rewrite_function(rf.name).ok);
-  Memory rop_mem = rop_img.load();
-  auto prot = attack::se_attack(rop_mem, rop_img.function(rf.name)->addr,
+  engine::ObfuscationEngine eng(&rop_img, c);
+  ASSERT_TRUE(eng.rewrite_function(rf.name).ok);
+  LoadedImage rop_li = rop_img.load_shared();
+  auto prot = attack::se_attack(rop_li, rop_img.function(rf.name)->addr,
                                 cfg, dl(2.0));
   // The protected run forks dramatically more states per amount of
   // progress (aliasing on RSP updates).
@@ -178,10 +182,10 @@ TEST(Tds, TaintedBranchesSurviveP3) {
   rop::ObfConfig c = rop::rop_k(1.0, 10);
   c.p2 = false;
   c.gadget_confusion = false;
-  rop::Rewriter rw(&img, c);
-  ASSERT_TRUE(rw.rewrite_function(rf.name).ok);
-  Memory mem = img.load();
-  auto r = attack::tds_simplify(mem, img.function(rf.name)->addr, 0x41, 1);
+  engine::ObfuscationEngine eng(&img, c);
+  ASSERT_TRUE(eng.rewrite_function(rf.name).ok);
+  LoadedImage li = img.load_shared();
+  auto r = attack::tds_simplify(li, img.function(rf.name)->addr, 0x41, 1);
   EXPECT_GT(r.trace_len, 0u);
   EXPECT_GT(r.reduction, 0.3);  // the dispatch plumbing simplifies away
   // P3's loops are input-tainted: TDS cannot classify them internal.
@@ -195,11 +199,11 @@ TEST(RopMemu, RevealsBlocksWithoutP2DerailsWithP2) {
     rop::ObfConfig c;
     c.seed = 12;
     c.p2 = p2;
-    rop::Rewriter rw(&img, c);
-    auto res = rw.rewrite_function(rf.name);
+    engine::ObfuscationEngine eng(&img, c);
+    auto res = eng.rewrite_function(rf.name);
     EXPECT_TRUE(res.ok) << res.detail;
-    Memory mem = img.load();
-    return attack::ropmemu_explore(mem, img.function(rf.name)->addr,
+    LoadedImage li = img.load_shared();
+    return attack::ropmemu_explore(li, img.function(rf.name)->addr,
                                    res.chain_addr, res.chain_size, 0x5,
                                    dl(10.0));
   };
@@ -220,12 +224,12 @@ TEST(RopDissector, ConfusionExplodesGuessing) {
     c.seed = 14;
     c.gadget_confusion = confusion;
     c.confusion_bump_prob = 0.3;
-    rop::Rewriter rw(&img, c);
-    auto res = rw.rewrite_function(rf.name);
+    engine::ObfuscationEngine eng(&img, c);
+    auto res = eng.rewrite_function(rf.name);
     EXPECT_TRUE(res.ok) << res.detail;
-    Memory mem = img.load();
+    LoadedImage li = img.load_shared();
     return attack::ropdissector_scan(
-        mem, res.chain_addr, res.chain_size, kTextBase,
+        li.mem, res.chain_addr, res.chain_size, kTextBase,
         img.section_end(".text"), /*gadget_guessing=*/true);
   };
   auto plain = run(false);

@@ -226,12 +226,12 @@ TEST(AnalysisCacheTest, CraftMemoInheritsDependencyRevalidation) {
   ASSERT_EQ(mr2.ok_count, 1u);
   EXPECT_EQ(mr2.craft_memo_hits, 0u);  // stale artifact must not serve
 
-  Memory m1 = img1.load();
-  Memory m2 = img2.load();
+  LoadedImage li1 = img1.load_shared();
+  LoadedImage li2 = img2.load_shared();
   std::uint64_t a1 = img1.function("f")->addr;
   std::uint64_t a2 = img2.function("f")->addr;
-  auto r1 = call_function(m1, a1, {{1}});
-  auto r2 = call_function(m2, a2, {{1}});
+  auto r1 = call_function(li1, a1, {{1}});
+  auto r2 = call_function(li2, a2, {{1}});
   ASSERT_EQ(r1.status, CpuStatus::kHalted);
   ASSERT_EQ(r2.status, CpuStatus::kHalted);
   EXPECT_EQ(static_cast<std::int64_t>(r1.rax), 3);  // original case 1

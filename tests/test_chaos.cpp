@@ -25,10 +25,10 @@
 #include <string>
 #include <vector>
 
+#include "engine/engine.hpp"
 #include "engine/service.hpp"
 #include "image/image.hpp"
 #include "minic/codegen.hpp"
-#include "rop/rewriter.hpp"
 #include "support/faultpoint.hpp"
 #include "workload/corpus.hpp"
 

@@ -440,36 +440,6 @@ TEST(Cpu, HookStratificationEquivalence) {
   }
 }
 
-TEST(Cpu, PrewarmedExecutionIdentical) {
-  workload::RandomFunSpec spec;
-  spec.control = 2;
-  spec.seed = 3;
-  auto rf = workload::make_random_fun(spec);
-  Image img = minic::compile(rf.module);
-  std::uint64_t fn = img.function(rf.name)->addr;
-
-  RunOutcome cold = run_loaded(img, fn, 42, nullptr, false);
-
-  Memory mem = img.load();
-  Cpu cpu(&mem);
-  img.prewarm(&cpu);
-  std::uint64_t built_by_prewarm = cpu.cache_stats().blocks_built;
-  EXPECT_GT(built_by_prewarm, 0u);
-  cpu.set_reg(Reg::RDI, 42);
-  std::uint64_t rsp = kStackBase + kStackSize - 64 - 8;
-  mem.write_u64(rsp, kHltPad);
-  cpu.set_reg(Reg::RSP, rsp);
-  cpu.set_rip(fn);
-  EXPECT_EQ(cpu.run(1'000'000), cold.status);
-  EXPECT_EQ(cpu.reg(Reg::RAX), cold.rax);
-  EXPECT_EQ(cpu.insn_count(), cold.insns);
-  EXPECT_EQ(cpu.trace_probes(), cold.probes);
-  // Everything the run needed inside the function was pre-decoded; only
-  // code outside .text symbols (the HLT sentinel pad) may decode late.
-  EXPECT_LE(cpu.cache_stats().blocks_built - built_by_prewarm, 2u);
-  EXPECT_GT(cpu.cache_stats().block_hits, 0u);
-}
-
 // The cache-coherence contract of the superblock engine: committing an
 // obfuscated function into live memory (pivot stub + .ropdata chain + P1
 // cells, as the engine's phase-2 does) invalidates only blocks decoded

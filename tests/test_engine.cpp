@@ -11,7 +11,6 @@
 #include "image/image.hpp"
 #include "minic/codegen.hpp"
 #include "minic/interp.hpp"
-#include "rop/rewriter.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 #include "workload/corpus.hpp"
@@ -125,7 +124,7 @@ TEST(EngineDeterminism, RewrittenBatchStillExecutesCorrectly) {
   // interpreter oracle.
   auto cp = workload::make_corpus(5, 120);
   BatchRun run = run_batch(cp, 4, 2);
-  Memory mem = run.img.load();
+  LoadedImage li = run.img.load_shared();
   minic::Interp interp(cp.module);
   int checked = 0;
   for (const std::string& name : cp.runnable) {
@@ -137,7 +136,7 @@ TEST(EngineDeterminism, RewrittenBatchStillExecutesCorrectly) {
     auto oracle = interp.call(name, iargs);
     if (!oracle.ok) continue;
     std::vector<std::uint64_t> args(iargs.begin(), iargs.end());
-    auto r = call_function(mem, f->addr, args);
+    auto r = call_function(li, f->addr, args);
     ASSERT_EQ(r.status, CpuStatus::kHalted) << name << ": " << r.fault_reason;
     EXPECT_EQ(static_cast<std::int64_t>(r.rax), oracle.value) << name;
     ++checked;
@@ -209,15 +208,15 @@ TEST(EngineFailureClasses, CorpusPopulationsStillFire) {
                     pressure - unsupported - cfg_fail);
 }
 
-TEST(EngineFacade, RewriterMatchesSingleFunctionBatch) {
-  // The legacy Rewriter facade is a 1-element batch: same image bytes.
+TEST(EngineFacade, RewriteFunctionMatchesSingleFunctionBatch) {
+  // rewrite_function is a 1-element batch: same results, same bytes.
   auto cp = workload::make_corpus(11, 20);
   Image a = minic::compile(cp.module);
   Image b = minic::compile(cp.module);
-  rop::Rewriter rw(&a, full_cfg(5));
+  engine::ObfuscationEngine single(&a, full_cfg(5));
   engine::ObfuscationEngine eng(&b, full_cfg(5));
   for (const std::string& name : cp.functions) {
-    auto ra = rw.rewrite_function(name);
+    auto ra = single.rewrite_function(name);
     auto rb = eng.obfuscate_module({name}, 1).results.front();
     EXPECT_EQ(ra.ok, rb.ok) << name;
     EXPECT_EQ(ra.chain_addr, rb.chain_addr) << name;

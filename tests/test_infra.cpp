@@ -9,7 +9,6 @@
 #include <thread>
 
 #include "gadgets/catalog.hpp"
-#include "gadgets/scanner.hpp"
 #include "image/image.hpp"
 #include "isa/encode.hpp"
 #include "mem/memory.hpp"
@@ -527,15 +526,34 @@ TEST(Chain, UnboundLabelThrows) {
   EXPECT_THROW(ch.materialize(), std::runtime_error);
 }
 
+// Gadgets are chosen only through the batch plan: plan_batch against the
+// frozen catalog, then commit_plan appends the planned gadgets.
+gadgets::GadgetRequest request(std::vector<isa::Insn> core,
+                               analysis::RegSet allowed, bool jop = false,
+                               isa::Reg jop_target = isa::Reg::RAX) {
+  std::string key = gadgets::GadgetPool::key_of(core, jop, jop_target);
+  return {std::move(core), jop, jop_target, allowed, std::move(key)};
+}
+
+std::vector<std::uint64_t> resolve(
+    gadgets::GadgetPool& pool,
+    const std::vector<gadgets::GadgetRequest>& reqs, int shards = 1) {
+  std::vector<const gadgets::GadgetRequest*> ptrs;
+  for (const auto& r : reqs) ptrs.push_back(&r);
+  return pool.commit_plan(pool.plan_batch(ptrs, shards, /*threads=*/1));
+}
+
 TEST(GadgetPool, SynthesizesAndReuses) {
   Image img;
   gadgets::GadgetPool pool(&img, 1, 4);
   std::vector<isa::Insn> core = {isa::ib::pop(isa::Reg::RDI)};
-  std::uint64_t a1 = pool.want(core, analysis::RegSet());
+  std::uint64_t a1 = resolve(pool, {request(core, analysis::RegSet())})[0];
   // With no junk allowed, variants are identical cores; the pool may
   // still synthesize a couple for diversity but must stay bounded.
-  std::set<std::uint64_t> addrs;
-  for (int i = 0; i < 50; ++i) addrs.insert(pool.want(core, analysis::RegSet()));
+  std::vector<gadgets::GadgetRequest> reqs(50,
+                                           request(core, analysis::RegSet()));
+  std::vector<std::uint64_t> got = resolve(pool, reqs);
+  std::set<std::uint64_t> addrs(got.begin(), got.end());
   EXPECT_LE(addrs.size(), 4u);
   EXPECT_TRUE(addrs.count(a1));
   const gadgets::Gadget* g = pool.at(a1);
@@ -544,13 +562,18 @@ TEST(GadgetPool, SynthesizesAndReuses) {
 }
 
 TEST(GadgetPool, JunkRespectsClobberSet) {
-  Image img;
-  gadgets::GadgetPool pool(&img, 2, 8);
-  std::vector<isa::Insn> core = {isa::ib::mov(isa::Reg::RAX, isa::Reg::RBX)};
+  std::vector<isa::Insn> mov_ab = {isa::ib::mov(isa::Reg::RAX, isa::Reg::RBX)};
+  std::vector<isa::Insn> mov_cd = {isa::ib::mov(isa::Reg::RCX, isa::Reg::RDX)};
   analysis::RegSet allowed;
   allowed.add(isa::Reg::R9);
-  for (int i = 0; i < 40; ++i) {
-    std::uint64_t a = pool.want(core, allowed);
+  std::vector<gadgets::GadgetRequest> reqs;
+  for (int i = 0; i < 40; ++i)
+    reqs.push_back(request(i % 2 ? mov_cd : mov_ab, allowed));
+
+  Image img;
+  gadgets::GadgetPool pool(&img, 2, 8);
+  std::vector<std::uint64_t> addrs = resolve(pool, reqs);
+  for (std::uint64_t a : addrs) {
     const gadgets::Gadget* g = pool.at(a);
     ASSERT_NE(g, nullptr);
     EXPECT_TRUE(g->extra_clobbers.minus(allowed).empty());
@@ -559,6 +582,13 @@ TEST(GadgetPool, JunkRespectsClobberSet) {
       EXPECT_FALSE(isa::writes_flags(insn.op));
     }
   }
+
+  // Sharding is invisible in the output: 3 shards resolve every request
+  // to the same address and append the same bytes as 1.
+  Image img3;
+  gadgets::GadgetPool pool3(&img3, 2, 8);
+  EXPECT_EQ(resolve(pool3, reqs, /*shards=*/3), addrs);
+  EXPECT_EQ(img3.section_bytes(".text"), img.section_bytes(".text"));
 }
 
 TEST(GadgetPool, JopGadgetTerminatesWithJump) {
@@ -566,32 +596,35 @@ TEST(GadgetPool, JopGadgetTerminatesWithJump) {
   gadgets::GadgetPool pool(&img, 3, 4);
   std::vector<isa::Insn> core = {
       isa::ib::xchg_m(isa::Reg::RSP, isa::MemRef::base_disp(isa::Reg::RAX))};
-  std::uint64_t a = pool.want_jop(core, isa::Reg::RCX, analysis::RegSet());
+  std::uint64_t a = resolve(pool, {request(core, analysis::RegSet(),
+                                           /*jop=*/true, isa::Reg::RCX)})[0];
   const gadgets::Gadget* g = pool.at(a);
   ASSERT_NE(g, nullptr);
   EXPECT_TRUE(g->jop);
   EXPECT_EQ(g->jop_target, isa::Reg::RCX);
 }
 
-TEST(GadgetScanner, FindsPlantedGadgets) {
+TEST(GadgetPool, HarvestFindsPlantedGadgets) {
   Image img;
   std::vector<std::uint8_t> bytes;
   isa::encode(isa::ib::pop(isa::Reg::RDI), bytes);
   isa::encode(isa::ib::ret(), bytes);
+  const std::uint64_t add_off = bytes.size();
   isa::encode(isa::ib::add(isa::Reg::RAX, isa::Reg::RBX), bytes);
   isa::encode(isa::ib::ret(), bytes);
   std::uint64_t base = img.append(".text", bytes);
-  auto found = gadgets::scan(img, base, base + bytes.size());
-  // Both planted gadgets plus suffixes ending at the same rets.
-  bool pop_found = false, add_found = false;
-  for (auto& g : found) {
-    if (g.insns.size() == 1 && g.insns[0].op == isa::Op::POP_R)
-      pop_found = true;
-    if (g.insns.size() == 1 && g.insns[0].op == isa::Op::ADD_RR)
-      add_found = true;
-  }
-  EXPECT_TRUE(pop_found);
-  EXPECT_TRUE(add_found);
+  gadgets::GadgetPool pool(&img, 4, 4);
+  EXPECT_GE(pool.harvest(base, base + bytes.size()), 2u);
+
+  const gadgets::Gadget* pop = pool.at(base);
+  ASSERT_NE(pop, nullptr);
+  ASSERT_EQ(pop->body.size(), 1u);
+  EXPECT_EQ(pop->body[0].op, isa::Op::POP_R);
+  EXPECT_FALSE(pop->jop);
+  const gadgets::Gadget* add = pool.at(base + add_off);
+  ASSERT_NE(add, nullptr);
+  ASSERT_EQ(add->body.size(), 1u);
+  EXPECT_EQ(add->body[0].op, isa::Op::ADD_RR);
 }
 
 TEST(Rng, DeterministicAndWellDistributed) {

@@ -17,11 +17,11 @@ std::int64_t run_native(const Module& mod, const std::string& fn,
                         std::vector<std::int64_t> args,
                         std::vector<std::int64_t>* probes = nullptr) {
   Image img = compile(mod);
-  Memory mem = img.load();
+  LoadedImage li = img.load_shared();
   const FunctionSym* f = img.function(fn);
   EXPECT_NE(f, nullptr);
   std::vector<std::uint64_t> uargs(args.begin(), args.end());
-  CallResult r = call_function(mem, f->addr, uargs);
+  CallResult r = call_function(li, f->addr, uargs);
   EXPECT_EQ(r.status, CpuStatus::kHalted) << r.fault_reason;
   if (probes) *probes = r.probes;
   return static_cast<std::int64_t>(r.rax);

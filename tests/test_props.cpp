@@ -5,12 +5,12 @@
 #include <gtest/gtest.h>
 
 #include "cpu/cpu.hpp"
+#include "engine/engine.hpp"
 #include "image/image.hpp"
 #include "isa/encode.hpp"
 #include "minic/codegen.hpp"
 #include "minic/interp.hpp"
 #include "rop/predicates.hpp"
-#include "rop/rewriter.hpp"
 #include "solver/solver.hpp"
 #include "workload/randomfuns.hpp"
 
@@ -106,10 +106,10 @@ TEST_P(RewriterSweep, FullConfigAgreesWithOracle) {
   rop::ObfConfig cfg = rop::rop_k(0.6, obf_seed);
   cfg.p3_variant = 3;  // mixed
   cfg.shuffle_blocks = obf_seed % 2 == 0;
-  rop::Rewriter rw(&img, cfg);
+  engine::ObfuscationEngine rw(&img, cfg);
   auto res = rw.rewrite_function(rf.name);
   ASSERT_TRUE(res.ok) << res.detail;
-  Memory mem = img.load();
+  LoadedImage li = img.load_shared();
   std::uint64_t fn = img.function(rf.name)->addr;
 
   std::int64_t mask =
@@ -124,7 +124,7 @@ TEST_P(RewriterSweep, FullConfigAgreesWithOracle) {
     minic::Interp in(rf.module);
     auto e = in.call(rf.name, {{x}});
     ASSERT_TRUE(e.ok);
-    auto r = call_function(mem, fn, {{static_cast<std::uint64_t>(x)}},
+    auto r = call_function(li, fn, {{static_cast<std::uint64_t>(x)}},
                            1'000'000'000ull);
     ASSERT_EQ(r.status, CpuStatus::kHalted)
         << r.fault_reason << " x=" << x;

@@ -6,11 +6,11 @@
 #include <gtest/gtest.h>
 
 #include "analysis/disasm.hpp"
+#include "engine/engine.hpp"
 #include "image/image.hpp"
 #include "minic/codegen.hpp"
 #include "minic/interp.hpp"
 #include "rop/predicates.hpp"
-#include "rop/rewriter.hpp"
 #include "support/rng.hpp"
 
 namespace raindrop {
@@ -49,15 +49,15 @@ void check_rop_agreement(const Module& mod,
                          const rop::ObfConfig& cfg) {
   Image native_img = minic::compile(mod);
   Image rop_img = minic::compile(mod);
-  rop::Rewriter rw(&rop_img, cfg);
+  engine::ObfuscationEngine rw(&rop_img, cfg);
   for (const std::string& f : fns) {
     auto r = rw.rewrite_function(f);
     ASSERT_TRUE(r.ok) << f << ": " << rop::failure_name(r.failure) << " "
                       << r.detail;
     EXPECT_GT(r.stats.gadget_slots, 0u);
   }
-  Memory native_mem = native_img.load();
-  Memory rop_mem = rop_img.load();
+  LoadedImage native_li = native_img.load_shared();
+  LoadedImage rop_li = rop_img.load_shared();
   std::uint64_t native_fn = native_img.function(entry)->addr;
   std::uint64_t rop_fn = rop_img.function(entry)->addr;
 
@@ -66,9 +66,9 @@ void check_rop_agreement(const Module& mod,
     auto expect = interp.call(entry, in);
     ASSERT_TRUE(expect.ok) << expect.error;
     std::vector<std::uint64_t> uargs(in.begin(), in.end());
-    CallResult n = call_function(native_mem, native_fn, uargs);
+    CallResult n = call_function(native_li, native_fn, uargs);
     ASSERT_EQ(n.status, CpuStatus::kHalted) << n.fault_reason;
-    CallResult r = call_function(rop_mem, rop_fn, uargs);
+    CallResult r = call_function(rop_li, rop_fn, uargs);
     ASSERT_EQ(r.status, CpuStatus::kHalted)
         << "ROP execution fault: " << r.fault_reason;
     EXPECT_EQ(static_cast<std::int64_t>(n.rax), expect.value);
@@ -340,8 +340,8 @@ TEST(RopRewriter, FailsOnTooShortFunction) {
   Image img = minic::compile(m);
   // Shrink the recorded size below the stub size to model the paper's
   // "shorter than the pivoting sequence" class.
-  img.function("tiny")->size = rop::Rewriter::pivot_stub_size() - 1;
-  rop::Rewriter rw(&img, plain_cfg());
+  img.function("tiny")->size = engine::ObfuscationEngine::pivot_stub_size() - 1;
+  engine::ObfuscationEngine rw(&img, plain_cfg());
   auto r = rw.rewrite_function("tiny");
   EXPECT_FALSE(r.ok);
   EXPECT_EQ(r.failure, rop::RewriteFailure::TooShort);
@@ -349,7 +349,7 @@ TEST(RopRewriter, FailsOnTooShortFunction) {
 
 TEST(RopRewriter, StatsArePopulated) {
   Image img = minic::compile(simple_branch_module());
-  rop::Rewriter rw(&img, rop::rop_k(0.5, 3));
+  engine::ObfuscationEngine rw(&img, rop::rop_k(0.5, 3));
   auto r = rw.rewrite_function("f");
   ASSERT_TRUE(r.ok) << r.detail;
   EXPECT_GT(r.stats.program_points, 5u);
@@ -362,7 +362,7 @@ TEST(RopRewriter, StatsArePopulated) {
 
 TEST(RopRewriter, ChainLivesInRopData) {
   Image img = minic::compile(simple_branch_module());
-  rop::Rewriter rw(&img, plain_cfg());
+  engine::ObfuscationEngine rw(&img, plain_cfg());
   auto r = rw.rewrite_function("f");
   ASSERT_TRUE(r.ok);
   EXPECT_GE(r.chain_addr, kRopDataBase);

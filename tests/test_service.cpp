@@ -20,10 +20,10 @@
 #include <thread>
 #include <vector>
 
+#include "engine/engine.hpp"
 #include "engine/service.hpp"
 #include "image/image.hpp"
 #include "minic/codegen.hpp"
-#include "rop/rewriter.hpp"
 #include "workload/corpus.hpp"
 
 namespace raindrop {
@@ -688,17 +688,18 @@ TEST(ServiceCancellation, MidCraftDropShedsRemainingFunctions) {
 }
 
 TEST(ServiceStreaming, FacadesShareTheStreamedExecutionPath) {
-  // One execution path: Rewriter -> engine facade -> the same
-  // craft_module/resolve_module/materialize_module stages the service
-  // drives. All three front doors produce identical bytes for identical
-  // input.
+  // One execution path: rewrite_function -> obfuscate_module -> the
+  // same craft_module/resolve_module/materialize_module stages the
+  // service drives. All three front doors produce identical bytes for
+  // identical input.
   auto cp = workload::make_corpus(11, 20);
   Image a = minic::compile(cp.module);
   Image b = minic::compile(cp.module);
   Image c = minic::compile(cp.module);
 
-  rop::Rewriter rw(&a, full_cfg(5), std::make_shared<analysis::AnalysisCache>());
-  for (const std::string& name : cp.functions) rw.rewrite_function(name);
+  engine::ObfuscationEngine single(
+      &a, full_cfg(5), std::make_shared<analysis::AnalysisCache>());
+  for (const std::string& name : cp.functions) single.rewrite_function(name);
 
   engine::ObfuscationEngine eng(&b, full_cfg(5),
                                 std::make_shared<analysis::AnalysisCache>());
@@ -714,7 +715,7 @@ TEST(ServiceStreaming, FacadesShareTheStreamedExecutionPath) {
     hs.push_back(session->submit({name}));
   for (auto& h : hs) h.wait();
 
-  expect_same_image(a, b, "Rewriter vs engine");
+  expect_same_image(a, b, "rewrite_function vs obfuscate_module");
   expect_same_image(b, c, "engine vs streamed session");
 }
 

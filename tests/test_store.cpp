@@ -125,6 +125,29 @@ void expect_same_image(const Image& a, const Image& b, const char* what) {
         << what << ": " << sec << " diverges";
 }
 
+void expect_same_result(const rop::RewriteResult& a,
+                        const rop::RewriteResult& b, const std::string& what) {
+  EXPECT_EQ(a.ok, b.ok) << what;
+  EXPECT_EQ(a.failure, b.failure) << what;
+  EXPECT_EQ(a.detail, b.detail) << what;
+  EXPECT_EQ(a.stats.program_points, b.stats.program_points) << what;
+  EXPECT_EQ(a.stats.gadget_slots, b.stats.gadget_slots) << what;
+  EXPECT_EQ(a.stats.unique_gadgets, b.stats.unique_gadgets) << what;
+  EXPECT_EQ(a.stats.gadgets_per_point, b.stats.gadgets_per_point) << what;
+  EXPECT_EQ(a.stats.chain_bytes, b.stats.chain_bytes) << what;
+  EXPECT_EQ(a.chain_addr, b.chain_addr) << what;
+  EXPECT_EQ(a.chain_size, b.chain_size) << what;
+}
+
+void expect_same_results(const std::vector<rop::RewriteResult>& a,
+                         const std::vector<rop::RewriteResult>& b,
+                         const char* what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    expect_same_result(a[i], b[i],
+                       std::string(what) + " #" + std::to_string(i));
+}
+
 TEST(ArtifactStoreTest, RecordRoundTripAndContentAddressedSkip) {
   fs::path dir = fresh_dir("store_roundtrip");
   ArtifactStore st(dir.string(), /*async_spill=*/false);
@@ -519,10 +542,10 @@ TEST(ArtifactStoreTest, ObfuscatedImageSerializationRoundTrips) {
   ASSERT_NE(f1, nullptr);
   EXPECT_EQ(f0->addr, f1->addr);
   EXPECT_EQ(f0->arg_count, f1->arg_count);
-  Memory m0 = run.img.load();
-  Memory m1 = back.load();
-  auto r0 = call_function(m0, f0->addr, {{5}});
-  auto r1 = call_function(m1, f1->addr, {{5}});
+  LoadedImage li0 = run.img.load_shared();
+  LoadedImage li1 = back.load_shared();
+  auto r0 = call_function(li0, f0->addr, {{5}});
+  auto r1 = call_function(li1, f1->addr, {{5}});
   ASSERT_EQ(r0.status, CpuStatus::kHalted);
   ASSERT_EQ(r1.status, CpuStatus::kHalted);
   EXPECT_EQ(r0.rax, r1.rax);
@@ -535,10 +558,11 @@ TEST(ArtifactStoreTest, ModuleRecordRoundTripAndParseFailureEvicts) {
   fs::path dir = fresh_dir("store_module");
   ArtifactStore st(dir.string(), /*async_spill=*/false);
   EXPECT_FALSE(store::get_module(st, 0xabc).has_value());
-  store::put_module(st, 0xabc, run.img);
+  store::put_module(st, 0xabc, run.img, run.mod.results);
   auto back = store::get_module(st, 0xabc);
   ASSERT_TRUE(back.has_value());
-  expect_same_image(run.img, *back, "module record round-trip");
+  expect_same_image(run.img, back->img, "module record round-trip");
+  expect_same_results(run.mod.results, back->results, "module record");
 
   // A record whose container digest is fine but whose payload does not
   // parse (stale encoder, bit rot that re-hashed) must evict, not throw.
@@ -548,6 +572,65 @@ TEST(ArtifactStoreTest, ModuleRecordRoundTripAndParseFailureEvicts) {
   // Evicted: the next probe misses without reaching the parser.
   EXPECT_FALSE(st.get(Kind::kModule, 0xdef).has_value());
   EXPECT_EQ(st.stats().corrupt_evictions, 1u);
+
+  // The same for a record whose image parses but whose results table is
+  // cut short, or followed by trailing bytes.
+  std::vector<std::uint8_t> good = *st.get(Kind::kModule, 0xabc);
+  std::vector<std::uint8_t> cut(good.begin(), good.end() - 1);
+  std::vector<std::uint8_t> extra = good;
+  extra.push_back(0);
+  st.put(Kind::kModule, 0x123, cut);
+  st.put(Kind::kModule, 0x456, extra);
+  EXPECT_FALSE(store::get_module(st, 0x123).has_value());
+  EXPECT_FALSE(store::get_module(st, 0x456).has_value());
+  EXPECT_EQ(st.stats().corrupt_evictions, 3u);
+}
+
+TEST(ArtifactStoreTest, ModuleRecordHitReturnsTheSpilledResults) {
+  // Two virgin engines over one store: the second is served the whole
+  // module record, and must report exactly what the first one built --
+  // including through rewrite_function, which reads results.front().
+  auto cp = workload::make_corpus(17, 12);
+  fs::path dir = fresh_dir("store_module_results");
+  auto pass = [&](const std::vector<std::string>& names) {
+    auto cache = std::make_shared<AnalysisCache>();
+    cache->attach_store(std::make_shared<ArtifactStore>(dir.string()));
+    StoreRun out;
+    out.img = minic::compile(cp.module);
+    engine::ObfuscationEngine eng(&out.img, store_cfg(7), cache);
+    out.mod = eng.obfuscate_module(names, 1);
+    return out;
+  };
+
+  StoreRun built = pass(cp.functions);
+  EXPECT_EQ(built.mod.store_hits, 0u);
+  ASSERT_EQ(built.mod.results.size(), cp.functions.size());
+  StoreRun hit = pass(cp.functions);
+  EXPECT_EQ(hit.mod.store_hits, 1u);
+  EXPECT_EQ(hit.mod.ok_count, built.mod.ok_count);
+  expect_same_results(built.mod.results, hit.mod.results, "module hit");
+  expect_same_image(built.img, hit.img, "module hit");
+
+  // rewrite_function: pass 0 spills a one-function module into an empty
+  // store, pass 1 is served by that record without a single miss.
+  std::size_t ok_at = 0;
+  while (ok_at < built.mod.results.size() && !built.mod.results[ok_at].ok)
+    ++ok_at;
+  ASSERT_LT(ok_at, cp.functions.size());
+  const std::string& name = cp.functions[ok_at];
+  fs::path single_dir = fresh_dir("store_module_single");
+  rop::RewriteResult first, second;
+  for (rop::RewriteResult* r : {&first, &second}) {
+    auto cache = std::make_shared<AnalysisCache>();
+    auto disk = std::make_shared<ArtifactStore>(single_dir.string());
+    cache->attach_store(disk);
+    Image img = minic::compile(cp.module);
+    engine::ObfuscationEngine eng(&img, store_cfg(7), cache);
+    *r = eng.rewrite_function(name);
+    if (r == &second) EXPECT_EQ(disk->stats().misses, 0u);
+  }
+  EXPECT_TRUE(first.ok) << first.detail;
+  expect_same_result(first, second, "rewrite_function hit");
 }
 
 TEST(ArtifactStoreTest, WarmRestartIsByteIdenticalWithPerfectHitRate) {
@@ -595,13 +678,13 @@ TEST(ArtifactStoreTest, WarmRestartIsByteIdenticalWithPerfectHitRate) {
 
   // Restart on the whole-module fast path (virgin engine): the finished
   // module record reloads without crafting anything, byte-identical,
-  // with per-function success recovered from the rop_rewritten flags.
+  // with the per-function results the populate pass spilled.
   auto cache = std::make_shared<AnalysisCache>();
   auto disk = std::make_shared<ArtifactStore>(dir.string());
   cache->attach_store(disk);
   StoreRun m = run_corpus(cp, cache);
   expect_same_image(ref.img, m.img, "module-reload restart pass");
-  EXPECT_TRUE(m.mod.results.empty());  // nothing was crafted
+  expect_same_results(ref.mod.results, m.mod.results, "module reload");
   EXPECT_EQ(m.mod.ok_count, ref.mod.ok_count);
   EXPECT_EQ(m.mod.store_hits, 1u);
   EXPECT_EQ(m.mod.store_misses, 0u);

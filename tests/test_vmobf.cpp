@@ -4,10 +4,10 @@
 // in the paper's "already obfuscated code" experiments (§IV-C).
 #include <gtest/gtest.h>
 
+#include "engine/engine.hpp"
 #include "image/image.hpp"
 #include "minic/codegen.hpp"
 #include "minic/interp.hpp"
-#include "rop/rewriter.hpp"
 #include "vmobf/vmobf.hpp"
 #include "workload/randomfuns.hpp"
 
@@ -56,7 +56,7 @@ void check_vm_agreement(int layers, vmobf::ImpWhere imp) {
   ASSERT_TRUE(vmobf::virtualize_layers(obf, "f", layers, imp, 42));
   minic::Interp in_orig(orig);
   Image img = minic::compile(obf);
-  Memory mem = img.load();
+  LoadedImage li = img.load_shared();
   std::uint64_t fn = img.function("f")->addr;
   for (std::int64_t x : {0ll, 1ll, -5ll, 777777ll}) {
     auto e = in_orig.call("f", {{x}});
@@ -68,7 +68,7 @@ void check_vm_agreement(int layers, vmobf::ImpWhere imp) {
     EXPECT_EQ(vo.value, e.value) << layers << " layers, x=" << x;
     EXPECT_EQ(vo.probes, e.probes);
     // Compiled agreement.
-    auto r = call_function(mem, fn, {{static_cast<std::uint64_t>(x)}},
+    auto r = call_function(li, fn, {{static_cast<std::uint64_t>(x)}},
                            2'000'000'000);
     ASSERT_EQ(r.status, CpuStatus::kHalted) << r.fault_reason;
     EXPECT_EQ(static_cast<std::int64_t>(r.rax), e.value);
@@ -101,8 +101,8 @@ TEST(VmObf, InterpreterOverheadGrowsWithLayers) {
       ASSERT_TRUE(vmobf::virtualize_layers(m, "f", layers,
                                            vmobf::ImpWhere::None, 7));
     Image img = minic::compile(m);
-    Memory mem = img.load();
-    auto r = call_function(mem, img.function("f")->addr, {{42}},
+    LoadedImage li = img.load_shared();
+    auto r = call_function(li, img.function("f")->addr, {{42}},
                            4'000'000'000ull);
     ASSERT_EQ(r.status, CpuStatus::kHalted);
     insns[layers] = r.insns;
@@ -137,15 +137,15 @@ TEST(VmObf, RopOnTopOfVm) {
   ASSERT_TRUE(vmobf::virtualize_layers(obf, "f", 1, vmobf::ImpWhere::None,
                                        13));
   Image img = minic::compile(obf);
-  rop::Rewriter rw(&img, rop::rop_k(0.25, 21));
+  engine::ObfuscationEngine rw(&img, rop::rop_k(0.25, 21));
   auto res = rw.rewrite_function("f");
   ASSERT_TRUE(res.ok) << res.detail;
-  Memory mem = img.load();
+  LoadedImage li = img.load_shared();
   Module oracle = hash_module();
   minic::Interp in(oracle);
   for (std::int64_t x : {3ll, -3ll}) {
     auto e = in.call("f", {{x}});
-    auto r = call_function(mem, img.function("f")->addr,
+    auto r = call_function(li, img.function("f")->addr,
                            {{static_cast<std::uint64_t>(x)}},
                            2'000'000'000ull);
     ASSERT_EQ(r.status, CpuStatus::kHalted) << r.fault_reason;

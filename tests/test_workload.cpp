@@ -4,10 +4,10 @@
 // applicable -- survive ROP rewriting unchanged.
 #include <gtest/gtest.h>
 
+#include "engine/engine.hpp"
 #include "image/image.hpp"
 #include "minic/codegen.hpp"
 #include "minic/interp.hpp"
-#include "rop/rewriter.hpp"
 #include "workload/base64.hpp"
 #include "workload/clbg.hpp"
 #include "workload/corpus.hpp"
@@ -52,13 +52,13 @@ TEST(RandomFuns, NativeAgreesWithInterp) {
     if (spec.seed != 1) continue;  // one seed is enough for codegen checks
     auto rf = workload::make_random_fun(spec);
     Image img = minic::compile(rf.module);
-    Memory mem = img.load();
+    LoadedImage li = img.load_shared();
     std::uint64_t fn = img.function(rf.name)->addr;
     minic::Interp in(rf.module);
     for (std::int64_t x : {rf.secret_input, std::int64_t(0), std::int64_t(-1),
                            std::int64_t(12345)}) {
       auto e = in.call(rf.name, {{x}});
-      auto r = call_function(mem, fn, {{static_cast<std::uint64_t>(x)}});
+      auto r = call_function(li, fn, {{static_cast<std::uint64_t>(x)}});
       ASSERT_EQ(r.status, CpuStatus::kHalted) << r.fault_reason;
       EXPECT_EQ(static_cast<std::int64_t>(r.rax), e.value);
       EXPECT_EQ(r.probes, e.probes);
@@ -72,16 +72,16 @@ TEST(RandomFuns, RopRewriteAgrees) {
     if (spec.seed != 2 || spec.control % 3 != 0) continue;  // sample
     auto rf = workload::make_random_fun(spec);
     Image img = minic::compile(rf.module);
-    rop::Rewriter rw(&img, rop::rop_k(0.5, 11));
+    engine::ObfuscationEngine rw(&img, rop::rop_k(0.5, 11));
     auto res = rw.rewrite_function(rf.name);
     ASSERT_TRUE(res.ok) << res.detail;
-    Memory mem = img.load();
+    LoadedImage li = img.load_shared();
     std::uint64_t fn = img.function(rf.name)->addr;
     minic::Interp in(rf.module);
     for (std::int64_t x :
          {rf.secret_input, std::int64_t(7), std::int64_t(-7)}) {
       auto e = in.call(rf.name, {{x}});
-      auto r = call_function(mem, fn, {{static_cast<std::uint64_t>(x)}});
+      auto r = call_function(li, fn, {{static_cast<std::uint64_t>(x)}});
       ASSERT_EQ(r.status, CpuStatus::kHalted) << r.fault_reason;
       EXPECT_EQ(static_cast<std::int64_t>(r.rax), e.value);
       EXPECT_EQ(r.probes, e.probes);
@@ -105,12 +105,12 @@ TEST(RandomFuns, ReachableProbesRecorded) {
 TEST(Clbg, AllKernelsRunAndMatchInterp) {
   for (auto& b : workload::clbg_suite()) {
     Image img = minic::compile(b.module);
-    Memory mem = img.load();
+    LoadedImage li = img.load_shared();
     std::uint64_t fn = img.function(b.entry)->addr;
     minic::Interp in(b.module);
     auto e = in.call(b.entry, {{b.arg}});
     ASSERT_TRUE(e.ok) << b.name << ": " << e.error;
-    auto r = call_function(mem, fn, {{static_cast<std::uint64_t>(b.arg)}});
+    auto r = call_function(li, fn, {{static_cast<std::uint64_t>(b.arg)}});
     ASSERT_EQ(r.status, CpuStatus::kHalted) << b.name << ": "
                                             << r.fault_reason;
     EXPECT_EQ(static_cast<std::int64_t>(r.rax), e.value) << b.name;
@@ -121,16 +121,16 @@ TEST(Clbg, AllKernelsRunAndMatchInterp) {
 TEST(Clbg, RopRewriteAgrees) {
   for (auto& b : workload::clbg_suite()) {
     Image img = minic::compile(b.module);
-    rop::Rewriter rw(&img, rop::rop_k(0.25, 5));
+    engine::ObfuscationEngine rw(&img, rop::rop_k(0.25, 5));
     for (auto& f : b.obfuscate) {
       auto res = rw.rewrite_function(f);
       ASSERT_TRUE(res.ok) << b.name << "/" << f << ": " << res.detail;
     }
-    Memory mem = img.load();
+    LoadedImage li = img.load_shared();
     std::uint64_t fn = img.function(b.entry)->addr;
     minic::Interp in(b.module);
     auto e = in.call(b.entry, {{b.arg}});
-    auto r = call_function(mem, fn, {{static_cast<std::uint64_t>(b.arg)}});
+    auto r = call_function(li, fn, {{static_cast<std::uint64_t>(b.arg)}});
     ASSERT_EQ(r.status, CpuStatus::kHalted) << b.name << ": "
                                             << r.fault_reason;
     EXPECT_EQ(static_cast<std::int64_t>(r.rax), e.value) << b.name;
@@ -148,8 +148,8 @@ TEST(Base64, EncodeChecksRoundTrip) {
   EXPECT_EQ(miss.value, 0);
 
   Image img = minic::compile(w.module);
-  Memory mem = img.load();
-  auto r = call_function(mem, img.function(w.check_fn)->addr, {{w.secret}});
+  LoadedImage li = img.load_shared();
+  auto r = call_function(li, img.function(w.check_fn)->addr, {{w.secret}});
   ASSERT_EQ(r.status, CpuStatus::kHalted) << r.fault_reason;
   EXPECT_EQ(r.rax, 1u);
 }
@@ -157,16 +157,16 @@ TEST(Base64, EncodeChecksRoundTrip) {
 TEST(Base64, RopRewriteAgrees) {
   auto w = workload::make_base64(4);
   Image img = minic::compile(w.module);
-  rop::Rewriter rw(&img, rop::rop_k(1.0, 6));
+  engine::ObfuscationEngine rw(&img, rop::rop_k(1.0, 6));
   for (auto f : {"b64_encode", "b64_check", "b64_hash"}) {
     auto res = rw.rewrite_function(f);
     ASSERT_TRUE(res.ok) << f << ": " << res.detail;
   }
-  Memory mem = img.load();
-  auto r = call_function(mem, img.function(w.check_fn)->addr, {{w.secret}});
+  LoadedImage li = img.load_shared();
+  auto r = call_function(li, img.function(w.check_fn)->addr, {{w.secret}});
   ASSERT_EQ(r.status, CpuStatus::kHalted) << r.fault_reason;
   EXPECT_EQ(r.rax, 1u);
-  auto r2 = call_function(mem, img.function(w.check_fn)->addr,
+  auto r2 = call_function(li, img.function(w.check_fn)->addr,
                           {{w.secret + 1}});
   EXPECT_EQ(r2.rax, 0u);
 }
@@ -181,7 +181,7 @@ TEST(Corpus, GeneratesRequestedSizeAndCompiles) {
 TEST(Corpus, RunnableSubsetAgreesWithInterp) {
   auto cp = workload::make_corpus(2, 200);
   Image img = minic::compile(cp.module);
-  Memory mem = img.load();
+  LoadedImage li = img.load_shared();
   int checked = 0;
   for (const auto& name : cp.runnable) {
     if (checked >= 60) break;
@@ -194,7 +194,7 @@ TEST(Corpus, RunnableSubsetAgreesWithInterp) {
     minic::Interp in(cp.module);
     auto e = in.call(name, iargs);
     if (!e.ok) continue;  // interp budget or deliberate traps: skip
-    auto r = call_function(mem, f->addr, args);
+    auto r = call_function(li, f->addr, args);
     ASSERT_EQ(r.status, CpuStatus::kHalted) << name << r.fault_reason;
     EXPECT_EQ(static_cast<std::int64_t>(r.rax), e.value) << name;
     ++checked;
