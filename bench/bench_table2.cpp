@@ -287,7 +287,7 @@ int main(int argc, char** argv) {
 
       attack::DseConfig g2 = g1;
       g2.goal = attack::Goal::kCodeCoverage;
-      g2.target_probes = rf.reachable_probes;
+      g2.target_probes = workload::reachable_probes(rf);
       auto o2 = attack::dse_attack(li, fn, g2, Deadline(budget_s));
       if (o2.success) ++covered;
     }

@@ -163,7 +163,7 @@ std::uint64_t config_hash(const rop::ObfConfig& c) {
 constexpr std::uint64_t kCraftMemoTag = 0x435246540001ull;
 // Module-record key tag: bump with any change of the record layout, so
 // records in the old layout miss instead of failing to parse.
-constexpr std::uint64_t kModuleRecordTag = 0x4d4f44554c450002ull;
+constexpr std::uint64_t kModuleRecordTag = 0x4d4f44554c450003ull;
 
 }  // namespace
 
@@ -711,6 +711,8 @@ ModuleResult ObfuscationEngine::obfuscate_module(
   if (std::optional<store::ModuleRecord> rec = store::get_module(*st, mkey)) {
     module_record_eligible_ = false;
     *img_ = std::move(rec->img);
+    total_points_ = rec->program_points;
+    all_gadget_addrs_ = std::move(rec->gadget_addrs);
     ModuleResult out;
     out.results = std::move(rec->results);
     for (const rop::RewriteResult& r : out.results) out.ok_count += r.ok;
@@ -721,7 +723,9 @@ ModuleResult ObfuscationEngine::obfuscate_module(
   ModuleResult out = materialize_module(
       resolve_module(craft_module(names, threads), threads, shards));
   if (!out.rejected && !out.cancelled) {
-    store::put_module(*st, mkey, *img_, out.results);
+    // The engine was virgin, so its aggregate is this batch's alone.
+    store::put_module(*st, mkey, *img_, out.results, total_points_,
+                      all_gadget_addrs_);
     ++out.store_misses;
     ++out.store_spills;
     out.store_corrupt_evictions +=

@@ -3,17 +3,173 @@
 namespace raindrop::minic {
 
 namespace {
+// Wraps to `t` and extends by its signedness (modular conversions).
 std::int64_t truncate_to(Type t, std::int64_t v) {
-  int size = type_size(t);
-  if (size >= 8) return v;
-  std::uint64_t u = static_cast<std::uint64_t>(v) & ((1ull << (size * 8)) - 1);
-  if (type_signed(t)) {
-    std::uint64_t m = 1ull << (size * 8 - 1);
-    return static_cast<std::int64_t>((u ^ m) - m);
+  switch (t) {
+    case Type::I8: return static_cast<std::int8_t>(v);
+    case Type::U8: return static_cast<std::uint8_t>(v);
+    case Type::I16: return static_cast<std::int16_t>(v);
+    case Type::U16: return static_cast<std::uint16_t>(v);
+    case Type::I32: return static_cast<std::int32_t>(v);
+    case Type::U32: return static_cast<std::uint32_t>(v);
+    case Type::I64: case Type::U64: return v;
   }
-  return static_cast<std::int64_t>(u);
+  return v;
 }
 }  // namespace
+
+struct Interp::RExpr {
+  Expr::Kind kind = Expr::Kind::Int;
+  Type type = Type::I64;      // Cast target
+  UnOp uop = UnOp::Neg;
+  BinOp bop = BinOp::Add;
+  bool sgn = false;           // Binary: the left operand's type is signed
+  std::int64_t ival = 0;
+  std::int32_t slot = -1;     // Var: frame slot, if the function declares it
+  std::int32_t global = -1;   // Var/Index: the global of that name
+  const std::string* name = nullptr;  // for trap messages
+  std::unique_ptr<RExpr> a, b;
+  std::vector<RExpr> args;             // Call
+  const Function* callee = nullptr;    // Call; null: no such function
+  mutable const Code* code = nullptr;  // callee, resolved on its first call
+};
+
+struct Interp::RStmt {
+  Stmt::Kind kind = Stmt::Kind::ExprSt;
+  Type type = Type::I64;      // Decl
+  std::int64_t ival = 0;      // Trace
+  std::int32_t slot = -1;     // Decl/Assign target's frame slot
+  std::int32_t global = -1;   // Assign target's global
+  const std::string* name = nullptr;
+  std::unique_ptr<RExpr> index, value, cond;
+  std::vector<RStmt> then_body, else_body, default_body;
+  std::vector<std::pair<std::int64_t, std::vector<RStmt>>> cases;
+};
+
+struct Interp::Code {
+  const Function* fn = nullptr;
+  std::vector<std::int32_t> params;  // frame slot of each param
+  std::size_t n_slots = 0;
+  std::vector<RStmt> body;
+};
+
+// Builds a function's Code: one slot per distinct param or Decl name
+// anywhere in the body, assigned before any use is resolved, so a use
+// that runs before its Decl (say, in a loop's next iteration) still finds
+// the slot and its declared bit decides at run time.
+class Interp::Resolver {
+ public:
+  Resolver(const Module& m, const std::map<std::string, std::size_t>& globals)
+      : mod_(m), globals_(globals) {}
+
+  std::unique_ptr<Code> function(const Function& f) {
+    auto c = std::make_unique<Code>();
+    c->fn = &f;
+    for (const Param& p : f.params) c->params.push_back(declare(p.name));
+    declare_all(f.body);
+    c->n_slots = slots_.size();
+    c->body = block(f.body);
+    return c;
+  }
+
+ private:
+  std::int32_t declare(const std::string& name) {
+    auto next = static_cast<std::int32_t>(slots_.size());
+    return slots_.try_emplace(name, next).first->second;
+  }
+
+  void declare_all(const std::vector<StmtPtr>& body) {
+    for (const StmtPtr& s : body) {
+      if (s->kind == Stmt::Kind::Decl) declare(s->name);
+      declare_all(s->then_body);
+      declare_all(s->else_body);
+      for (const SwitchCase& c : s->cases) declare_all(c.body);
+      declare_all(s->default_body);
+    }
+  }
+
+  std::int32_t slot(const std::string& name) const {
+    auto it = slots_.find(name);
+    return it == slots_.end() ? -1 : it->second;
+  }
+
+  std::int32_t global(const std::string& name) const {
+    auto it = globals_.find(name);
+    return it == globals_.end() ? -1 : static_cast<std::int32_t>(it->second);
+  }
+
+  std::unique_ptr<RExpr> expr_ptr(const ExprPtr& e) {
+    return e ? std::make_unique<RExpr>(expr(*e)) : nullptr;
+  }
+
+  RExpr expr(const Expr& e) {
+    RExpr r;
+    r.kind = e.kind;
+    r.type = e.type;
+    r.uop = e.uop;
+    r.bop = e.bop;
+    r.ival = e.ival;
+    r.name = &e.name;
+    switch (e.kind) {
+      case Expr::Kind::Var:
+        r.slot = slot(e.name);
+        r.global = global(e.name);
+        break;
+      case Expr::Kind::Index:
+        r.global = global(e.name);
+        break;
+      case Expr::Kind::Binary:
+        r.sgn = type_signed(e.a->type);
+        break;
+      case Expr::Kind::Call:
+        r.callee = mod_.function(e.name);
+        for (const ExprPtr& a : e.args) r.args.push_back(expr(*a));
+        break;
+      default:
+        break;
+    }
+    r.a = expr_ptr(e.a);
+    r.b = expr_ptr(e.b);
+    return r;
+  }
+
+  std::vector<RStmt> block(const std::vector<StmtPtr>& body) {
+    std::vector<RStmt> out;
+    out.reserve(body.size());
+    for (const StmtPtr& s : body) out.push_back(stmt(*s));
+    return out;
+  }
+
+  RStmt stmt(const Stmt& s) {
+    RStmt r;
+    r.kind = s.kind;
+    r.type = s.type;
+    r.ival = s.ival;
+    r.name = &s.name;
+    if (s.kind == Stmt::Kind::Decl || s.kind == Stmt::Kind::Assign) {
+      r.slot = slot(s.name);
+      r.global = global(s.name);
+    }
+    r.index = expr_ptr(s.index);
+    r.value = expr_ptr(s.value);
+    r.cond = expr_ptr(s.cond);
+    r.then_body = block(s.then_body);
+    r.else_body = block(s.else_body);
+    for (const SwitchCase& c : s.cases)
+      r.cases.emplace_back(c.value, block(c.body));
+    r.default_body = block(s.default_body);
+    return r;
+  }
+
+  const Module& mod_;
+  const std::map<std::string, std::size_t>& globals_;
+  std::map<std::string, std::int32_t> slots_;
+};
+
+Interp::Interp(const Module& m, std::uint64_t step_budget)
+    : mod_(m), budget_(step_budget) {}
+
+Interp::~Interp() = default;
 
 void Interp::trap(const std::string& msg) {
   if (!trapped_) {
@@ -23,8 +179,10 @@ void Interp::trap(const std::string& msg) {
   }
 }
 
-std::int64_t Interp::coerce(Type t, std::int64_t v) {
-  return truncate_to(t, v);
+const Interp::Code& Interp::code_for(const Function& f) {
+  std::unique_ptr<Code>& c = code_[&f];
+  if (!c) c = Resolver(mod_, global_index_).function(f);
+  return *c;
 }
 
 InterpResult Interp::call(const std::string& fn,
@@ -32,11 +190,13 @@ InterpResult Interp::call(const std::string& fn,
   InterpResult res;
   if (!globals_init_) {
     globals_init_ = true;
-    for (const auto& g : mod_.globals) {
-      auto& store = globals_[g.name];
+    globals_.resize(mod_.globals.size());
+    for (std::size_t i = 0; i < mod_.globals.size(); ++i) {
+      const Global& g = mod_.globals[i];
+      auto& store = globals_[global_index_.emplace(g.name, i).first->second];
       store.assign(g.count, 0);
-      for (std::size_t i = 0; i < g.init.size() && i < g.count; ++i)
-        store[i] = truncate_to(g.elem, g.init[i]);
+      for (std::size_t k = 0; k < g.init.size() && k < g.count; ++k)
+        store[k] = truncate_to(g.elem, g.init[k]);
     }
   }
   const Function* f = mod_.function(fn);
@@ -47,40 +207,36 @@ InterpResult Interp::call(const std::string& fn,
   result_ = &res;
   trapped_ = false;
   res.ok = true;
-  Frame frame;
-  for (std::size_t i = 0; i < f->params.size(); ++i) {
-    std::int64_t v = i < args.size() ? args[i] : 0;
-    frame.locals[f->params[i].name] = coerce(f->params[i].type, v);
-    frame.local_types[f->params[i].name] = f->params[i].type;
-  }
-  retval_ = 0;
-  ++depth_;
-  if (depth_ > 64) {
-    trap("interp recursion limit");
-  } else {
-    exec_block(f->body, frame);
-  }
-  --depth_;
-  res.value = coerce(f->ret, retval_);
+  res.value = enter(code_for(*f), args.data(), args.size());
   result_ = nullptr;
   return res;
 }
 
-std::optional<std::int64_t> Interp::global(const std::string& name,
-                                           std::size_t index) const {
-  auto it = globals_.find(name);
-  if (it == globals_.end() || index >= it->second.size()) return std::nullopt;
-  return it->second[index];
+// Runs one call of `c` in a fresh frame one level deeper. Calls share the
+// globals and the result accumulator.
+std::int64_t Interp::enter(const Code& c, const std::int64_t* args,
+                           std::size_t n_args) {
+  std::int64_t saved_ret = retval_;
+  retval_ = 0;
+  if (++depth_ > kMaxDepth) {
+    trap("interp recursion limit");
+  } else {
+    std::vector<Slot>& frame = frames_[depth_];
+    frame.assign(c.n_slots, Slot{});
+    for (std::size_t i = 0; i < c.params.size(); ++i) {
+      Type t = c.fn->params[i].type;
+      frame[c.params[i]] =
+          Slot{truncate_to(t, i < n_args ? args[i] : 0), t, true};
+    }
+    exec_block(c.body, frame.data());
+  }
+  --depth_;
+  std::int64_t out = truncate_to(c.fn->ret, retval_);
+  retval_ = saved_ret;
+  return out;
 }
 
-void Interp::set_global(const std::string& name, std::size_t index,
-                        std::int64_t value) {
-  auto it = globals_.find(name);
-  if (it != globals_.end() && index < it->second.size())
-    it->second[index] = value;
-}
-
-std::int64_t Interp::eval(const Expr& e, Frame& f) {
+std::int64_t Interp::eval(const RExpr& e, Slot* f) {
   if (trapped_) return 0;
   if (++result_->steps > budget_) {
     trap("interp budget exceeded");
@@ -90,26 +246,24 @@ std::int64_t Interp::eval(const Expr& e, Frame& f) {
     case Expr::Kind::Int:
       return e.ival;
     case Expr::Kind::Var: {
-      auto it = f.locals.find(e.name);
-      if (it != f.locals.end()) return it->second;
-      auto git = globals_.find(e.name);
-      if (git != globals_.end() && !git->second.empty())
-        return git->second[0];
-      trap("unbound variable " + e.name);
+      if (e.slot >= 0 && f[e.slot].declared) return f[e.slot].value;
+      if (e.global >= 0 && !globals_[e.global].empty())
+        return globals_[e.global][0];
+      trap("unbound variable " + *e.name);
       return 0;
     }
     case Expr::Kind::Index: {
-      auto git = globals_.find(e.name);
-      if (git == globals_.end()) {
-        trap("no such array " + e.name);
+      if (e.global < 0) {
+        trap("no such array " + *e.name);
         return 0;
       }
+      const std::vector<std::int64_t>& g = globals_[e.global];
       std::uint64_t idx = static_cast<std::uint64_t>(eval(*e.a, f));
-      if (idx >= git->second.size()) {
+      if (idx >= g.size()) {
         trap("array index out of bounds");
         return 0;
       }
-      return git->second[idx];
+      return g[idx];
     }
     case Expr::Kind::Unary: {
       std::int64_t a = eval(*e.a, f);
@@ -135,7 +289,7 @@ std::int64_t Interp::eval(const Expr& e, Frame& f) {
       std::int64_t b = eval(*e.b, f);
       std::uint64_t ua = static_cast<std::uint64_t>(a);
       std::uint64_t ub = static_cast<std::uint64_t>(b);
-      bool sgn = type_signed(e.a->type);
+      bool sgn = e.sgn;
       switch (e.bop) {
         case BinOp::Add: return static_cast<std::int64_t>(ua + ub);
         case BinOp::Sub: return static_cast<std::int64_t>(ua - ub);
@@ -164,52 +318,37 @@ std::int64_t Interp::eval(const Expr& e, Frame& f) {
       return 0;
     }
     case Expr::Kind::Call: {
-      const Function* callee = mod_.function(e.name);
-      if (!callee) {
-        trap("no such function " + e.name);
+      if (!e.callee) {
+        trap("no such function " + *e.name);
         return 0;
       }
-      std::vector<std::int64_t> args;
-      args.reserve(e.args.size());
-      for (const auto& a : e.args) args.push_back(eval(*a, f));
-      if (trapped_) return 0;
-      // Recursive call sharing globals and the result accumulator.
-      Frame frame;
-      for (std::size_t i = 0; i < callee->params.size(); ++i) {
-        std::int64_t v = i < args.size() ? args[i] : 0;
-        frame.locals[callee->params[i].name] =
-            coerce(callee->params[i].type, v);
-        frame.local_types[callee->params[i].name] = callee->params[i].type;
+      // Arguments stack up in args_: evaluating one may itself call.
+      std::size_t base = args_.size();
+      for (const RExpr& a : e.args) args_.push_back(eval(a, f));
+      std::int64_t out = 0;
+      if (!trapped_) {
+        if (!e.code) e.code = &code_for(*e.callee);
+        out = enter(*e.code, args_.data() + base, e.args.size());
       }
-      std::int64_t saved_ret = retval_;
-      retval_ = 0;
-      ++depth_;
-      if (depth_ > 64) {
-        trap("interp recursion limit");
-      } else {
-        exec_block(callee->body, frame);
-      }
-      --depth_;
-      std::int64_t out = coerce(callee->ret, retval_);
-      retval_ = saved_ret;
+      args_.resize(base);
       return out;
     }
     case Expr::Kind::Cast:
-      return coerce(e.type, eval(*e.a, f));
+      return truncate_to(e.type, eval(*e.a, f));
   }
   return 0;
 }
 
-Interp::Flow Interp::exec_block(const std::vector<StmtPtr>& body, Frame& f) {
-  for (const auto& s : body) {
-    Flow fl = exec(*s, f);
+Interp::Flow Interp::exec_block(const std::vector<RStmt>& body, Slot* f) {
+  for (const RStmt& s : body) {
+    Flow fl = exec(s, f);
     if (trapped_) return Flow::Return;
     if (fl != Flow::Normal) return fl;
   }
   return Flow::Normal;
 }
 
-Interp::Flow Interp::exec(const Stmt& s, Frame& f) {
+Interp::Flow Interp::exec(const RStmt& s, Slot* f) {
   if (trapped_) return Flow::Return;
   if (++result_->steps > budget_) {
     trap("interp budget exceeded");
@@ -218,41 +357,36 @@ Interp::Flow Interp::exec(const Stmt& s, Frame& f) {
   switch (s.kind) {
     case Stmt::Kind::Decl: {
       std::int64_t v = s.value ? eval(*s.value, f) : 0;
-      f.locals[s.name] = coerce(s.type, v);
-      f.local_types[s.name] = s.type;
+      f[s.slot] = Slot{truncate_to(s.type, v), s.type, true};
       return Flow::Normal;
     }
     case Stmt::Kind::Assign: {
       std::int64_t v = eval(*s.value, f);
       if (s.index) {
-        auto git = globals_.find(s.name);
-        if (git == globals_.end()) {
-          trap("no such array " + s.name);
+        if (s.global < 0) {
+          trap("no such array " + *s.name);
           return Flow::Return;
         }
+        std::vector<std::int64_t>& g = globals_[s.global];
         std::uint64_t idx = static_cast<std::uint64_t>(eval(*s.index, f));
-        if (idx >= git->second.size()) {
+        if (idx >= g.size()) {
           trap("array index out of bounds");
           return Flow::Return;
         }
-        const Global* g = mod_.global(s.name);
-        git->second[idx] = truncate_to(g->elem, v);
+        g[idx] = truncate_to(mod_.globals[s.global].elem, v);
         return Flow::Normal;
       }
-      auto it = f.locals.find(s.name);
-      if (it != f.locals.end()) {
+      if (s.slot >= 0 && f[s.slot].declared) {
         // Assignments truncate to the declared type, like C. Codegen
         // mirrors this with a movsx/movzx before the frame-slot store.
-        it->second = coerce(f.local_types[s.name], v);
+        f[s.slot].value = truncate_to(f[s.slot].type, v);
         return Flow::Normal;
       }
-      auto git = globals_.find(s.name);
-      if (git != globals_.end() && !git->second.empty()) {
-        const Global* g = mod_.global(s.name);
-        git->second[0] = truncate_to(g->elem, v);
+      if (s.global >= 0 && !globals_[s.global].empty()) {
+        globals_[s.global][0] = truncate_to(mod_.globals[s.global].elem, v);
         return Flow::Normal;
       }
-      trap("assign to unbound " + s.name);
+      trap("assign to unbound " + *s.name);
       return Flow::Return;
     }
     case Stmt::Kind::ExprSt:
@@ -289,10 +423,10 @@ Interp::Flow Interp::exec(const Stmt& s, Frame& f) {
       // default label is written last, which is what codegen implements.
       std::int64_t v = eval(*s.cond, f);
       bool matched = false;
-      for (const auto& c : s.cases) {
-        if (!matched && c.value != v) continue;
+      for (const auto& [value, body] : s.cases) {
+        if (!matched && value != v) continue;
         matched = true;  // fallthrough into following cases
-        Flow fl = exec_block(c.body, f);
+        Flow fl = exec_block(body, f);
         if (fl == Flow::Break) return Flow::Normal;
         if (fl == Flow::Return || fl == Flow::Continue) return fl;
       }

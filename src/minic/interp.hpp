@@ -3,14 +3,27 @@
 //     code (native vs ROP chain vs VM-obfuscated must all agree with it);
 //  2. secret derivation for RandomFuns point tests (run the hash on a
 //     chosen winning input, capture the state constant);
-//  3. ground-truth coverage (which probes are reachable for given inputs).
+//  3. ground-truth coverage: workload::reachable_probes runs it over a
+//     RandomFun's input space to find which probes are reachable.
+//
+// It is a tree walker over frame slots. The first call of a function
+// resolves that function once, into a mirror of its AST: each param and
+// declared local becomes a frame slot index, each global reference the
+// index of that global, each call its callee. Calls then run over a
+// vector of slots with no name lookups. Every slot carries its own
+// "declared" bit and current type, which keeps MiniC's dynamic name
+// rules: a Decl (re-)types its name from that point on, and a read of or
+// an assignment to a name the frame has not declared yet reaches the
+// global of that name.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
-#include <optional>
+#include <memory>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "minic/ast.hpp"
@@ -27,40 +40,49 @@ struct InterpResult {
 
 class Interp {
  public:
-  explicit Interp(const Module& m, std::uint64_t step_budget = 50'000'000)
-      : mod_(m), budget_(step_budget) {}
+  explicit Interp(const Module& m, std::uint64_t step_budget = 50'000'000);
   // The interpreter only borrows the module: binding a temporary would
   // dangle after the constructor returns.
   explicit Interp(Module&&, std::uint64_t = 0) = delete;
+  ~Interp();
 
   // Calls `fn` with the given argument values. Globals persist across
   // calls on the same Interp instance (like a loaded process image).
   InterpResult call(const std::string& fn,
                     std::span<const std::int64_t> args);
 
-  // Direct access to a global (scalar: index 0).
-  std::optional<std::int64_t> global(const std::string& name,
-                                     std::size_t index = 0) const;
-  void set_global(const std::string& name, std::size_t index,
-                  std::int64_t value);
-
  private:
-  struct Frame {
-    std::map<std::string, std::int64_t> locals;
-    std::map<std::string, Type> local_types;
+  struct Slot {
+    std::int64_t value = 0;
+    Type type = Type::I64;
+    bool declared = false;
   };
+  struct RExpr;     // an Expr with its names resolved (interp.cpp)
+  struct RStmt;     // a Stmt with its names resolved
+  struct Code;      // one function resolved to frame slots
+  class Resolver;
   enum class Flow { Normal, Break, Continue, Return };
+  static constexpr int kMaxDepth = 64;
 
-  std::int64_t eval(const Expr& e, Frame& f);
-  Flow exec_block(const std::vector<StmtPtr>& body, Frame& f);
-  Flow exec(const Stmt& s, Frame& f);
+  const Code& code_for(const Function& f);
+  std::int64_t enter(const Code& c, const std::int64_t* args,
+                     std::size_t n_args);
+  std::int64_t eval(const RExpr& e, Slot* f);
+  Flow exec_block(const std::vector<RStmt>& body, Slot* f);
+  Flow exec(const RStmt& s, Slot* f);
   void trap(const std::string& msg);
-  std::int64_t coerce(Type t, std::int64_t v);
 
   const Module& mod_;
   std::uint64_t budget_;
-  std::map<std::string, std::vector<std::int64_t>> globals_;
+  std::unordered_map<const Function*, std::unique_ptr<Code>> code_;
+  // Name -> index of the first global of that name; globals_ holds each
+  // named global's values at that index.
+  std::map<std::string, std::size_t> global_index_;
+  std::vector<std::vector<std::int64_t>> globals_;
   bool globals_init_ = false;
+  // One frame per call depth, reused across calls.
+  std::array<std::vector<Slot>, kMaxDepth + 1> frames_;
+  std::vector<std::int64_t> args_;  // evaluated call arguments, stacked
   InterpResult* result_ = nullptr;
   std::int64_t retval_ = 0;
   bool trapped_ = false;

@@ -181,7 +181,9 @@ Image deserialize_image(std::span<const std::uint8_t> payload) {
 }
 
 void put_module(ArtifactStore& st, std::uint64_t key, const Image& img,
-                std::span<const rop::RewriteResult> results) {
+                std::span<const rop::RewriteResult> results,
+                std::uint64_t program_points,
+                std::span<const std::uint64_t> gadget_addrs) {
   binio::Writer w;
   w.bytes(img.serialize());
   w.u32(static_cast<std::uint32_t>(results.size()));
@@ -197,6 +199,9 @@ void put_module(ArtifactStore& st, std::uint64_t key, const Image& img,
     w.u64(r.chain_addr);
     w.u64(r.chain_size);
   }
+  w.u64(program_points);
+  w.u32(static_cast<std::uint32_t>(gadget_addrs.size()));
+  for (std::uint64_t a : gadget_addrs) w.u64(a);
   st.put(Kind::kModule, key, w.take());
 }
 
@@ -206,7 +211,7 @@ std::optional<ModuleRecord> get_module(ArtifactStore& st, std::uint64_t key) {
   if (!payload) return std::nullopt;
   try {
     binio::Reader r(*payload);
-    ModuleRecord rec{Image::deserialize(r.bytes()), {}};
+    ModuleRecord rec{Image::deserialize(r.bytes()), {}, 0, {}};
     constexpr std::uint64_t kFailureLimit =
         static_cast<std::uint64_t>(rop::RewriteFailure::RegisterPressure) + 1;
     rec.results.resize(r.count(/*min_elem_bytes=*/65));
@@ -223,6 +228,9 @@ std::optional<ModuleRecord> get_module(ArtifactStore& st, std::uint64_t key) {
       res.chain_addr = r.u64();
       res.chain_size = r.u64();
     }
+    rec.program_points = r.u64();
+    rec.gadget_addrs.resize(r.count(/*min_elem_bytes=*/8));
+    for (std::uint64_t& a : rec.gadget_addrs) a = r.u64();
     if (!r.at_end()) throw binio::Error("module record: trailing bytes");
     return rec;
   } catch (const binio::Error&) {

@@ -45,19 +45,24 @@ std::vector<std::uint8_t> serialize_image(const Image& img);
 Image deserialize_image(std::span<const std::uint8_t> payload);
 
 // Whole-module records (Kind::kModule): the rewritten Image plus the
-// batch's per-function RewriteResults, so obfuscated modules are durable
-// artifacts a later process reloads and executes byte-for-byte, and a
-// record hit reports exactly what the build that spilled it reported.
+// batch's per-function RewriteResults and module-wide gadget statistics,
+// so obfuscated modules are durable artifacts a later process reloads
+// and executes byte-for-byte, and a record hit reports exactly what the
+// build that spilled it reported (results and engine aggregate alike).
 struct ModuleRecord {
   Image img;
   std::vector<rop::RewriteResult> results;  // parallel to the batch names
+  std::uint64_t program_points = 0;         // summed over the batch
+  std::vector<std::uint64_t> gadget_addrs;  // every chain's gadget slots
 };
 
 // Store round-trip helpers: put_module spills synchronously-queued like
 // any record; get_module returns nullopt on miss or corruption (the
 // store evicts the record; parse failures evict here).
 void put_module(ArtifactStore& st, std::uint64_t key, const Image& img,
-                std::span<const rop::RewriteResult> results);
+                std::span<const rop::RewriteResult> results,
+                std::uint64_t program_points,
+                std::span<const std::uint64_t> gadget_addrs);
 std::optional<ModuleRecord> get_module(ArtifactStore& st, std::uint64_t key);
 
 }  // namespace raindrop::store

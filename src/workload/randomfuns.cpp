@@ -189,28 +189,30 @@ RandomFun make_random_fun(const RandomFunSpec& spec) {
     fn.body.push_back(s_return(e_var("state", spec.type)));
   }
   rf.module.functions.push_back(std::move(fn));
-
-  // Ground-truth reachable probes: exhaustive for 1-byte inputs, sampled
-  // (plus the winning input) for wider types.
-  if (spec.probes) {
-    Interp in(rf.module);
-    auto run = [&](std::int64_t x) {
-      auto r = in.call("target", {{x}});
-      for (auto p : r.probes) rf.reachable_probes.insert(p);
-    };
-    if (type_size(spec.type) == 1) {
-      for (int v = 0; v < 256; ++v)
-        run(static_cast<std::int64_t>(static_cast<std::int8_t>(v)));
-    } else {
-      Rng srng(spec.seed ^ 0xc0ffee);
-      for (int k = 0; k < 2048; ++k)
-        run(static_cast<std::int64_t>(srng.next()) & mask_for(spec.type));
-      run(rf.secret_input);
-      run(0);
-      run(-1 & mask_for(spec.type));
-    }
-  }
   return rf;
+}
+
+std::set<std::int64_t> reachable_probes(const RandomFun& rf) {
+  std::set<std::int64_t> out;
+  if (!rf.spec.probes) return out;
+  Interp in(rf.module);
+  auto run = [&](std::int64_t x) {
+    auto r = in.call(rf.name, {{x}});
+    out.insert(r.probes.begin(), r.probes.end());
+  };
+  Type t = rf.spec.type;
+  if (type_size(t) == 1) {
+    for (int v = 0; v < 256; ++v)
+      run(static_cast<std::int64_t>(static_cast<std::int8_t>(v)));
+  } else {
+    Rng srng(rf.spec.seed ^ 0xc0ffee);
+    for (int k = 0; k < 2048; ++k)
+      run(static_cast<std::int64_t>(srng.next()) & mask_for(t));
+    run(rf.secret_input);
+    run(0);
+    run(-1 & mask_for(t));
+  }
+  return out;
 }
 
 std::vector<RandomFunSpec> paper_suite(bool point_test, bool probes) {

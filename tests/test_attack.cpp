@@ -89,11 +89,11 @@ TEST(Dse, FullCoverageOnNative) {
   LoadedImage li = img.load_shared();
   attack::DseConfig cfg = dse_config(1);
   cfg.goal = attack::Goal::kCodeCoverage;
-  cfg.target_probes = rf.reachable_probes;
+  cfg.target_probes = workload::reachable_probes(rf);
   auto out = attack::dse_attack(li, img.function(rf.name)->addr, cfg,
                                 dl(20.0));
   EXPECT_TRUE(out.success)
-      << out.covered.size() << "/" << rf.reachable_probes.size();
+      << out.covered.size() << "/" << cfg.target_probes.size();
 }
 
 TEST(Dse, CracksOneLayerVm) {

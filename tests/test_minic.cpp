@@ -9,6 +9,8 @@
 #include "minic/codegen.hpp"
 #include "minic/interp.hpp"
 #include "support/rng.hpp"
+#include "workload/clbg.hpp"
+#include "workload/randomfuns.hpp"
 
 namespace raindrop::minic {
 namespace {
@@ -363,6 +365,176 @@ TEST(MiniC, RandomizedExpressionPrograms) {
     m.functions.push_back(Function{"f", Type::I64, {{"x", Type::I64}}, body});
     check_agree(m, "f", {static_cast<std::int64_t>(rng.next())});
   }
+}
+
+// Interpreter-only semantics. The oracle's dynamic name rules (a Decl
+// re-types its name, an undeclared name falls through to the global of
+// that name) and its traps and step counts are what every differential
+// test leans on, so they are pinned here directly.
+
+TEST(Interp, RedeclarationRetypesTheName) {
+  Module m;
+  // if (x > 0) { i8 v = 0; } else { i16 v = 0; }  v = 300; return v;
+  m.functions.push_back(Function{
+      "f",
+      Type::I64,
+      {{"x", Type::I64}},
+      {s_if(e_bin(BinOp::Gt, e_var("x"), e_int(0)),
+            {s_decl(Type::I8, "v", e_int(0))},
+            {s_decl(Type::I16, "v", e_int(0))}),
+       s_assign("v", e_int(300)), s_return(e_var("v"))}});
+  // u8 v = 0; v = 300; i16 v = v; v = 70000; return v;
+  m.functions.push_back(Function{
+      "g",
+      Type::I64,
+      {},
+      {s_decl(Type::U8, "v", e_int(0)), s_assign("v", e_int(300)),
+       s_decl(Type::I16, "v", e_var("v")), s_assign("v", e_int(70000)),
+       s_return(e_var("v"))}});
+  Interp in(m);
+  EXPECT_EQ(in.call("f", {{1}}).value, 44);    // 300 as i8
+  EXPECT_EQ(in.call("f", {{-1}}).value, 300);  // fits i16
+  EXPECT_EQ(in.call("g", {}).value, 4464);     // 70000 as i16
+}
+
+TEST(Interp, UndeclaredLocalFallsThroughToGlobal) {
+  Module m;
+  m.globals.push_back(Global{"g", Type::I8, 1, {7}, false});
+  // i64 r = g; g = 300; i64 g = 100; g = g + 1; return r * 1000 + g;
+  m.functions.push_back(Function{
+      "f",
+      Type::I64,
+      {},
+      {s_decl(Type::I64, "r", e_var("g")), s_assign("g", e_int(300)),
+       s_decl(Type::I64, "g", e_int(100)),
+       s_assign("g", e_bin(BinOp::Add, e_var("g"), e_int(1))),
+       s_return(e_bin(BinOp::Add, e_bin(BinOp::Mul, e_var("r"), e_int(1000)),
+                      e_var("g")))}});
+  m.functions.push_back(Function{"h", Type::I64, {}, {s_return(e_var("g"))}});
+  m.functions.push_back(
+      Function{"read", Type::I64, {}, {s_return(e_var("nope"))}});
+  m.functions.push_back(Function{
+      "write", Type::I64, {}, {s_assign("nope", e_int(1)), s_return(e_int(0))}});
+  Interp in(m);
+  auto f = in.call("f", {});
+  ASSERT_TRUE(f.ok) << f.error;
+  EXPECT_EQ(f.value, 7101);             // read the global 7, then local 101
+  EXPECT_EQ(in.call("h", {}).value, 44);  // the global took 300 as i8
+  auto r = in.call("read", {});
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.error, "unbound variable nope");
+  auto w = in.call("write", {});
+  EXPECT_FALSE(w.ok);
+  EXPECT_EQ(w.error, "assign to unbound nope");
+}
+
+TEST(Interp, GlobalArrayStoreAndLoad) {
+  Module m;
+  m.globals.push_back(Global{"tab", Type::U8, 4, {1, 2, 3, 4}, false});
+  m.functions.push_back(Function{
+      "put",
+      Type::I64,
+      {{"i", Type::I64}, {"v", Type::I64}},
+      {s_assign_index("tab", e_var("i"), e_var("v")), s_return(e_int(0))}});
+  m.functions.push_back(Function{
+      "get",
+      Type::I64,
+      {{"i", Type::I64}},
+      {s_return(e_index("tab", e_var("i"), Type::U8))}});
+  m.functions.push_back(Function{
+      "bad",
+      Type::I64,
+      {},
+      {s_assign_index("nope", e_int(0), e_int(1)), s_return(e_int(0))}});
+  Interp in(m);
+  EXPECT_TRUE(in.call("put", {{1, 511}}).ok);
+  EXPECT_EQ(in.call("get", {{1}}).value, 255);  // stored as u8
+  EXPECT_EQ(in.call("get", {{3}}).value, 4);
+  auto oob = in.call("put", {{4, 0}});
+  EXPECT_FALSE(oob.ok);
+  EXPECT_EQ(oob.error, "array index out of bounds");
+  EXPECT_EQ(in.call("get", {{-1}}).error, "array index out of bounds");
+  EXPECT_EQ(in.call("bad", {}).error, "no such array nope");
+  EXPECT_EQ(in.call("get", {{1}}).value, 255);  // globals persist
+}
+
+TEST(Interp, RecursionTrapsAtDepth64) {
+  Module m;
+  // d(n) = n == 0 ? 0 : d(n - 1) + 1
+  m.functions.push_back(Function{
+      "d",
+      Type::I64,
+      {{"n", Type::I64}},
+      {s_if(e_bin(BinOp::Eq, e_var("n"), e_int(0)), {s_return(e_int(0))}),
+       s_return(e_bin(BinOp::Add,
+                      e_call("d", {e_bin(BinOp::Sub, e_var("n"), e_int(1))},
+                             Type::I64),
+                      e_int(1)))}});
+  Interp in(m);
+  auto ok = in.call("d", {{63}});  // 64 frames deep
+  ASSERT_TRUE(ok.ok) << ok.error;
+  EXPECT_EQ(ok.value, 63);
+  EXPECT_EQ(ok.steps, 699u);
+  auto deep = in.call("d", {{64}});
+  EXPECT_FALSE(deep.ok);
+  EXPECT_EQ(deep.error, "interp recursion limit");
+  EXPECT_EQ(deep.steps, 640u);
+  EXPECT_EQ(in.call("d", {{3}}).value, 3);  // the depth unwinds
+}
+
+TEST(Interp, StepBudgetTraps) {
+  Module m;
+  // i64 x = 0; while (1) { x = x + 1; } return x;
+  m.functions.push_back(Function{
+      "f",
+      Type::I64,
+      {},
+      {s_decl(Type::I64, "x", e_int(0)),
+       s_while(e_int(1),
+               {s_assign("x", e_bin(BinOp::Add, e_var("x"), e_int(1)))}),
+       s_return(e_var("x"))}});
+  Interp in(m, 1000);
+  auto r = in.call("f", {});
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.error, "interp budget exceeded");
+  EXPECT_EQ(r.steps, 1001u);
+}
+
+TEST(Interp, MissingFunction) {
+  Module m;
+  m.functions.push_back(Function{
+      "f", Type::I64, {}, {s_return(e_call("nope", {e_int(1)}, Type::I64))}});
+  Interp in(m);
+  auto top = in.call("nope", {});
+  EXPECT_FALSE(top.ok);
+  EXPECT_EQ(top.error, "no such function: nope");
+  EXPECT_EQ(top.steps, 0u);
+  auto nested = in.call("f", {});
+  EXPECT_FALSE(nested.ok);
+  EXPECT_EQ(nested.error, "no such function nope");
+  EXPECT_EQ(nested.steps, 2u);
+}
+
+TEST(Interp, StepCountsOnWorkloads) {
+  for (const auto& b : workload::clbg_suite()) {
+    if (b.name != "fannkuch") continue;
+    Interp in(b.module);
+    auto r = in.call(b.entry, {{b.arg}});
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(r.value, 301);
+    EXPECT_EQ(r.steps, 40161u);
+  }
+  workload::RandomFunSpec spec;
+  spec.control = 3;
+  spec.type = Type::I32;
+  spec.seed = 2;
+  auto rf = workload::make_random_fun(spec);
+  Interp in(rf.module);
+  auto r = in.call(rf.name, {{rf.secret_input}});
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.value, 1);
+  EXPECT_EQ(r.steps, 27290u);
+  EXPECT_EQ(r.probes.size(), 1926u);
 }
 
 }  // namespace

@@ -558,11 +558,15 @@ TEST(ArtifactStoreTest, ModuleRecordRoundTripAndParseFailureEvicts) {
   fs::path dir = fresh_dir("store_module");
   ArtifactStore st(dir.string(), /*async_spill=*/false);
   EXPECT_FALSE(store::get_module(st, 0xabc).has_value());
-  store::put_module(st, 0xabc, run.img, run.mod.results);
+  const std::vector<std::uint64_t> gadget_addrs = {0x401000, 0x401008,
+                                                   0x401000};
+  store::put_module(st, 0xabc, run.img, run.mod.results, 837, gadget_addrs);
   auto back = store::get_module(st, 0xabc);
   ASSERT_TRUE(back.has_value());
   expect_same_image(run.img, back->img, "module record round-trip");
   expect_same_results(run.mod.results, back->results, "module record");
+  EXPECT_EQ(back->program_points, 837u);
+  EXPECT_EQ(back->gadget_addrs, gadget_addrs);
 
   // A record whose container digest is fine but whose payload does not
   // parse (stale encoder, bit rot that re-hashed) must evict, not throw.
@@ -631,6 +635,29 @@ TEST(ArtifactStoreTest, ModuleRecordHitReturnsTheSpilledResults) {
   }
   EXPECT_TRUE(first.ok) << first.detail;
   expect_same_result(first, second, "rewrite_function hit");
+}
+
+TEST(ArtifactStoreTest, ModuleRecordHitRestoresTheAggregate) {
+  // Two virgin engines over one store: the one served the whole module
+  // record reports the same program points and gadget statistics as the
+  // one that built and spilled it.
+  auto cp = workload::make_corpus(17, 12);
+  fs::path dir = fresh_dir("store_module_aggregate");
+  auto pass = [&](std::size_t expect_hits) {
+    auto cache = std::make_shared<AnalysisCache>();
+    cache->attach_store(std::make_shared<ArtifactStore>(dir.string()));
+    Image img = minic::compile(cp.module);
+    engine::ObfuscationEngine eng(&img, store_cfg(7), cache);
+    EXPECT_EQ(eng.obfuscate_module(cp.functions, 1).store_hits, expect_hits);
+    return eng.aggregate();
+  };
+  engine::ObfuscationEngine::Aggregate built = pass(0);
+  engine::ObfuscationEngine::Aggregate hit = pass(1);
+  EXPECT_GT(built.program_points, 0u);
+  EXPECT_GT(built.unique_gadgets, 0u);
+  EXPECT_EQ(hit.program_points, built.program_points);
+  EXPECT_EQ(hit.gadget_slots, built.gadget_slots);
+  EXPECT_EQ(hit.unique_gadgets, built.unique_gadgets);
 }
 
 TEST(ArtifactStoreTest, WarmRestartIsByteIdenticalWithPerfectHitRate) {
