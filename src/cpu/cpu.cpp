@@ -44,8 +44,10 @@ bool ends_block(Op op) {
 
 // Effective address of a lowered memory operand: the recipe was
 // classified (and any rip constant folded) at lower time, so this is a
-// 2-bit switch over pure adds -- no MemRef flag walking.
-inline std::uint64_t uop_ea(const isa::MicroOp& u, const std::uint64_t* regs) {
+// 2-bit switch over pure adds -- no MemRef flag walking. Forced inline:
+// run_lowered has 16 call sites, enough for GCC to outline one.
+[[gnu::always_inline]] inline std::uint64_t uop_ea(const isa::MicroOp& u,
+                                                   const std::uint64_t* regs) {
   std::uint64_t a = static_cast<std::uint64_t>(u.disp);
   switch (u.mode) {
     case isa::AddrMode::kAbs: return a;
@@ -213,6 +215,11 @@ DecodedBlock* Cpu::insert_block(DecodedBlock&& b) {
   // `start`, and callers build only on index misses -- but drop any stale
   // twin defensively so its interior index entries can never outlive it.
   discard_block(start);
+  // Every arena block passes here, so every block a successor link, an
+  // RTC entry or the store tail can reach sits on marked pages, and an
+  // unchanged write epoch proves its bytes unchanged (DESIGN.md §10).
+  mem_->watch_code(start);
+  if (b.two_pages) mem_->watch_code(start + b.byte_len - 1);
   arena_.push_back(std::move(b));
   DecodedBlock& blk = arena_.back();
   blocks_[start] = &blk;
@@ -411,6 +418,8 @@ CpuStatus Cpu::run_lowered(std::uint64_t end) {
   // Every dispatch here is lowered, so one local feeds both counters.
   std::uint64_t dispatches = 0;
   std::uint64_t chained = 0;
+  // Write epoch at which `b` was last known valid (set on every entry).
+  std::uint64_t bep = 0;
   auto sync = [&] {
     insn_count_ = count;
     stats_.dispatches += dispatches;
@@ -433,6 +442,7 @@ CpuStatus Cpu::run_lowered(std::uint64_t end) {
       if (st != CpuStatus::kRunning) return st;
       ++stats_.central_dispatches;
       std::uint64_t ep = mem_->write_epoch();
+      bep = ep;
       if (memo != nullptr) {
         *memo = DecodedBlock::Link{b, idx, ep};
       } else if (rtc_memo != nullptr) {
@@ -871,12 +881,17 @@ CpuStatus Cpu::run_lowered(std::uint64_t end) {
     // Store-class µops land here: a memory write may have smashed this
     // very block. Revalidate so in-block code writes take effect exactly
     // as per-instruction interpretation would. A smashed block demotes
-    // to a fresh central fetch at the store's fallthrough.
-    if (!block_valid(*b)) {
-      rip_ = u.next_pc;
-      b = nullptr;
-      idx = 0;
-      goto next_block;
+    // to a fresh central fetch at the store's fallthrough. `b`'s pages
+    // are marked, so an unchanged epoch proves it intact: stack and
+    // data stores skip the page-generation check.
+    if (std::uint64_t now = mem_->write_epoch(); now != bep) [[unlikely]] {
+      if (!block_valid(*b)) {
+        rip_ = u.next_pc;
+        b = nullptr;
+        idx = 0;
+        goto next_block;
+      }
+      bep = now;
     }
   }
   // Natural (non-branch) block end: TRACE cut or size-cap split. The
@@ -891,9 +906,10 @@ CpuStatus Cpu::run_lowered(std::uint64_t end) {
     // terminators, the return-target cache for indirect ones -- instead
     // of returning to the central hash-lookup fetch. A link is trusted
     // outright when the Memory write epoch is unchanged since it was
-    // last validated (no write anywhere implies no page generation
-    // moved) and revalidated against the target's page generations
-    // otherwise. Link targets live in the never-freed arena, so a stale
+    // last validated (link targets are arena blocks, whose pages
+    // insert_block marked, so no marked-page write implies the target's
+    // page generations did not move) and revalidated against the
+    // target's page generations otherwise. Link targets live in the never-freed arena, so a stale
     // pointer is safe to dereference and self-invalidating, and every
     // link was established by a central fetch that performed the NX
     // check (X coverage is monotonic: regions are append-only and their
@@ -917,6 +933,7 @@ CpuStatus Cpu::run_lowered(std::uint64_t end) {
       DecodedBlock* t = slot->target;
       if (t != nullptr && (slot->epoch == ep || block_valid(*t))) {
         slot->epoch = ep;
+        bep = ep;
         ++chained;
         b = t;
         idx = slot->index;
@@ -932,6 +949,7 @@ CpuStatus Cpu::run_lowered(std::uint64_t end) {
     if (e.block != nullptr && e.addr == rip_ &&
         (e.epoch == ep || block_valid(*e.block))) {
       e.epoch = ep;
+      bep = ep;
       ++chained;
       b = e.block;
       idx = e.index;

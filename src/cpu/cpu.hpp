@@ -22,10 +22,13 @@
 //    branch taken/not-taken, indirect targets via a return-target
 //    cache sized for ROP chains' gadget working sets), so execution
 //    chains block-to-block without returning to the central
-//    hash-lookup fetch; a write-epoch or page-generation
-//    mismatch unlinks and falls back to the central path. Any installed
-//    hook demotes dispatch to the central loop so per-dispatch and
-//    per-insn callbacks keep firing exactly as before.
+//    hash-lookup fetch. Every cached block marks the pages it spans
+//    (Memory::watch_code), so the Memory write epoch moves only when
+//    code pages are written: while it holds still, links are trusted
+//    and stores skip revalidating the running block; once it moves, a
+//    page-generation mismatch unlinks and falls back to the central
+//    path. Any installed hook demotes dispatch to the central loop so
+//    per-dispatch and per-insn callbacks keep firing exactly as before.
 //  * clone-aware cache import -- a CodeCache built over a frozen
 //    Memory snapshot (code_cache.hpp) can be imported into any Cpu
 //    whose Memory descends from that snapshot; blocks are copied in
@@ -127,7 +130,8 @@ struct DecodedBlock {
   // Threaded-dispatch successor links (valid only inside the owning
   // Cpu's arena; cleared when a block is copied out of a shared
   // CodeCache). A link is trusted when the Memory write epoch is
-  // unchanged since it was last validated, and revalidated against the
+  // unchanged since it was last validated (the target's pages are
+  // marked, so no write reached them), and revalidated against the
   // target's page generations otherwise -- see DESIGN.md §10.
   struct Link {
     DecodedBlock* target = nullptr;

@@ -8,9 +8,45 @@
 
 namespace raindrop {
 
-// page_for (both overloads) and page_gen are defined inline in the
-// header: they sit on the µop executor's load/store and block-validation
-// fast paths.
+// page_for's TLB-hit paths and page_gen are inline in the header: they
+// sit on the µop executor's load/store and block-validation fast paths.
+
+Memory::Page& Memory::page_for_write_miss(std::uint64_t addr) {
+  if (frozen_)
+    throw std::logic_error("raindrop::Memory: write to frozen snapshot");
+  std::uint64_t key = addr >> kPageBits;
+  PageSlot* slot = tlb_.find(key);
+  if (slot == nullptr) {
+    slot = &pages_.try_emplace(key).first->second;
+    if (slot->page == nullptr) slot->page = std::make_shared<Page>();
+    tlb_.fill(key, slot);
+  }
+  if (slot->page.use_count() > 1) {
+    // Copy-on-write: pages are shared between cloned memories (attack
+    // engines fork states constantly; deep copies would dominate
+    // runtime).
+    slot->page = std::make_shared<Page>(*slot->page);
+  }
+  write_epoch_ += slot->code;
+  return *slot->page;
+}
+
+const Memory::Page* Memory::page_for_read_miss(std::uint64_t addr) const {
+  std::uint64_t key = addr >> kPageBits;
+  auto it = pages_.find(key);
+  if (it == pages_.end()) return nullptr;
+  // The slot is only ever written through by the mutable overload,
+  // which needs a non-const Memory.
+  if (!frozen_) tlb_.fill(key, const_cast<PageSlot*>(&it->second));
+  return it->second.page.get();
+}
+
+void Memory::watch_code(std::uint64_t addr) {
+  if (frozen_) return;
+  PageSlot& slot = pages_[addr >> kPageBits];
+  if (slot.page == nullptr) slot.page = std::make_shared<Page>();
+  slot.code = true;
+}
 
 std::uint8_t Memory::read_u8(std::uint64_t addr) const {
   const Page* p = page_for(addr);

@@ -6,7 +6,10 @@
 // touched per operation). Consumers that cache derived views of memory --
 // the CPU's superblock decode cache above all -- snapshot the generations
 // of the pages they read and lazily rebuild when a generation moves, so a
-// write to one page never invalidates caches built over another.
+// write to one page never invalidates caches built over another. Pages
+// that hold decoded code are additionally marked (watch_code()): a write
+// to a marked page also advances the Memory-wide write epoch, which lets
+// the CPU skip per-page checks while only stack and data pages change.
 #pragma once
 
 #include <array>
@@ -86,12 +89,25 @@ class Memory {
     return p ? p->gen : 0;
   }
 
-  // Monotonic counter bumped every time *any* page generation moves (and
-  // on region appends). Cheap global "has anything changed since?" probe:
-  // equal epochs imply every page generation is unchanged, so any cached
-  // view validated at that epoch is still valid. Unequal epochs say
-  // nothing -- fall back to per-page generation checks.
+  // Monotonic counter bumped whenever the generation of a page marked by
+  // watch_code() moves (once per marked page touched per write), and on
+  // region appends. Writes to unmarked pages -- stacks, chains, data --
+  // leave it alone. Cheap "has any code page changed since?" probe: equal
+  // epochs imply every *marked* page's generation is unchanged, so a
+  // cached view over marked pages validated at that epoch is still
+  // valid. Unequal epochs say nothing -- fall back to per-page
+  // generation checks. Marks are never cleared, so the proof holds for
+  // any view whose pages were marked before it was validated.
   std::uint64_t write_epoch() const { return write_epoch_; }
+
+  // Mark the page containing `addr` as holding decoded code (see
+  // write_epoch()). The mark lives in this Memory's own page table, not
+  // in the (possibly shared) page, so copy-on-write siblings are never
+  // touched; clones inherit it. A never-written page is materialized as
+  // a zero page (reads still return 0, page_gen() stays 0) so that every
+  // page-table slot holds a page. No-op on a frozen Memory, which can
+  // never be written.
+  void watch_code(std::uint64_t addr);
 
   // Freeze this Memory into an immutable snapshot and assign it a
   // process-unique snapshot id (idempotent). Writes and region appends on
@@ -139,7 +155,12 @@ class Memory {
     std::uint32_t gen = 0;  // see page_gen()
   };
 
-  using PageSlot = std::shared_ptr<Page>;
+  // One pages_ entry: the page, shared copy-on-write between clones,
+  // and this Memory's own watch_code() mark. `page` is never null.
+  struct PageSlot {
+    std::shared_ptr<Page> page;
+    bool code = false;
+  };
 
   // Direct-mapped page translation cache in front of pages_: page key ->
   // pointer to that key's pages_ slot (unordered_map nodes never move).
@@ -202,41 +223,29 @@ class Memory {
   // is valid until its entry is erased, and pages are never erased -- if
   // an erase is ever added, it must clear tlb_.
   //
-  // The mutable overload is the sole mutation gateway: every write path
-  // lands here exactly once per page generation bump, so the global write
-  // epoch is bumped in lockstep with the per-page generations
-  // (write_epoch() doc above). Inline: this sits on the µop store fast
-  // path.
+  // Each overload is an inline TLB hit plus one out-of-line cold path, so
+  // the µop executor's read_fixed/write_fixed inline without the hash-map
+  // and allocation code. The mutable overload is the sole mutation
+  // gateway: every write path lands here exactly once per page
+  // generation bump, and advances the write epoch with it iff the slot
+  // is marked (write_epoch() doc above). Its hit path needs no frozen
+  // check, because a frozen Memory's TLB is always empty.
   Page& page_for(std::uint64_t addr) {
-    if (frozen_)
-      throw std::logic_error("raindrop::Memory: write to frozen snapshot");
-    ++write_epoch_;
-    std::uint64_t key = addr >> kPageBits;
-    PageSlot* slot = tlb_.find(key);
-    if (slot == nullptr) [[unlikely]] {
-      slot = &pages_.try_emplace(key).first->second;
-      if (*slot == nullptr) *slot = std::make_shared<Page>();
-      tlb_.fill(key, slot);
+    PageSlot* slot = tlb_.find(addr >> kPageBits);
+    if (slot != nullptr && slot->page.use_count() == 1) [[likely]] {
+      write_epoch_ += slot->code;
+      return *slot->page;
     }
-    if (slot->use_count() > 1) [[unlikely]] {
-      // Copy-on-write: pages are shared between cloned memories (attack
-      // engines fork states constantly; deep copies would dominate
-      // runtime).
-      *slot = std::make_shared<Page>(**slot);
-    }
-    return **slot;
+    return page_for_write_miss(addr);
   }
   const Page* page_for(std::uint64_t addr) const {
-    std::uint64_t key = addr >> kPageBits;
-    if (PageSlot* slot = tlb_.find(key)) [[likely]]
-      return slot->get();
-    auto it = pages_.find(key);
-    if (it == pages_.end()) return nullptr;
-    // The slot is only ever written through by the mutable overload,
-    // which needs a non-const Memory.
-    if (!frozen_) tlb_.fill(key, const_cast<PageSlot*>(&it->second));
-    return it->second.get();
+    if (PageSlot* slot = tlb_.find(addr >> kPageBits)) [[likely]]
+      return slot->page.get();
+    return page_for_read_miss(addr);
   }
+  // Cold paths: TLB miss, copy-on-write and the frozen-snapshot throw.
+  [[gnu::noinline]] Page& page_for_write_miss(std::uint64_t addr);
+  [[gnu::noinline]] const Page* page_for_read_miss(std::uint64_t addr) const;
 
   std::unordered_map<std::uint64_t, PageSlot> pages_;
   mutable PageTlb tlb_;
@@ -255,8 +264,11 @@ class Memory {
   std::uint64_t lineage_ = 0;      // frozen ancestor's snapshot id
 };
 
+// Both fixed-width accessors are declared inline on purpose: GCC gives
+// an un-annotated template only its small automatic-inlining budget,
+// which left write_fixed<8> called out of line from run_lowered.
 template <unsigned N>
-std::uint64_t Memory::read_fixed(std::uint64_t addr) const {
+inline std::uint64_t Memory::read_fixed(std::uint64_t addr) const {
   static_assert(N == 1 || N == 2 || N == 4 || N == 8);
   std::uint64_t off = addr & (kPageSize - 1);
   if (off + N <= kPageSize) [[likely]] {
@@ -275,7 +287,7 @@ std::uint64_t Memory::read_fixed(std::uint64_t addr) const {
 }
 
 template <unsigned N>
-void Memory::write_fixed(std::uint64_t addr, std::uint64_t v) {
+inline void Memory::write_fixed(std::uint64_t addr, std::uint64_t v) {
   static_assert(N == 1 || N == 2 || N == 4 || N == 8);
   std::uint64_t off = addr & (kPageSize - 1);
   if (off + N <= kPageSize) [[likely]] {

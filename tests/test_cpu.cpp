@@ -13,6 +13,8 @@
 #include "image/image.hpp"
 #include "isa/encode.hpp"
 #include "minic/codegen.hpp"
+#include "vmobf/vmobf.hpp"
+#include "workload/clbg.hpp"
 #include "workload/corpus.hpp"
 #include "workload/randomfuns.hpp"
 
@@ -1411,6 +1413,168 @@ TEST(Cpu, SmashFallSuccessorAcrossPageLine) {
   EXPECT_GT(stats.lowered_dispatches, 0u);
   EXPECT_GT(stats.chain_hits, 0u);
   EXPECT_EQ(stats.stale_redecodes, 1u) << "only B's page was written";
+}
+
+// Code decoded from a page that was never written: its zero bytes
+// decode as NOPs. Block X starts on that page (the 8 bytes below the
+// page line) and runs on into the next page: an 8-byte slot holding
+// `add rcx, k` plus NOP padding, then `jmp S`. S, on a third page,
+// stores `add rax, 1` into X's first 8 bytes on pass 1 only, stores
+// `add rcx, pass` into the slot on odd passes (into data on even ones)
+// and jumps back to X. Pass 2 writes no code, so when the first run()
+// pauses on S's jmp, a write from outside that puts `add rax, 100`
+// into X's head is the one thing to move the write epoch before S's
+// cached link to X is taken again. On pass 3 the slot store alone
+// comes before that link. The lowered run must see every store exactly
+// as the central reference does.
+TEST(Cpu, CodeOnNeverWrittenPageThenStoredFromOutsideAndFromABlock) {
+  const std::uint64_t kPage = Memory::kPageSize;
+  const std::uint64_t x_addr = 5 * kPage - 8;  // page 4: never written
+  const std::uint64_t slot = 5 * kPage;        // page 5: X's second page
+  const std::uint64_t s_addr = 3 * kPage;      // page 3: the storing loop
+  const std::uint64_t data = 7 * kPage;        // page 7: plain data
+  // An instruction padded with NOPs (zero bytes) to 8 bytes, and the
+  // same as the little-endian word a store writes.
+  auto padded = [](const isa::Insn& in) {
+    std::vector<std::uint8_t> b;
+    isa::encode(in, b);
+    EXPECT_LE(b.size(), 8u);
+    b.resize(8, 0);
+    return b;
+  };
+  auto word = [&](const isa::Insn& in) {
+    std::vector<std::uint8_t> b = padded(in);
+    std::uint64_t v = 0;
+    for (int i = 7; i >= 0; --i) v = (v << 8) | b[i];
+    return v;
+  };
+  // The immediate is a little-endian field, so k -> k + 1 is one add.
+  const std::uint64_t add_rcx_1 = word(ib::add_i(Reg::RCX, 1));
+  const std::uint64_t delta = word(ib::add_i(Reg::RCX, 2)) - add_rcx_1;
+  ASSERT_EQ(word(ib::add_i(Reg::RCX, 3)), add_rcx_1 + 2 * delta);
+
+  // S: store X's head (first pass only: rdi then moves to data), store
+  // the slot or data (r8 and r12 swap each pass), step k, count passes,
+  // loop back to X four times.
+  std::vector<isa::Insn> s_body = {
+      ib::store(MemRef::base_disp(Reg::RDI), Reg::RSI),
+      ib::mov(Reg::RDI, Reg::R11),
+      ib::store(MemRef::base_disp(Reg::R8), Reg::R9),
+      ib::add(Reg::R9, Reg::R10),
+      ib::xchg(Reg::R8, Reg::R12),
+      ib::inc(Reg::RBX),
+      ib::cmp_i(Reg::RBX, 4),
+  };
+  std::vector<std::uint8_t> s_bytes;
+  for (const auto& i : s_body) isa::encode(i, s_bytes);
+  const std::size_t jmp_len = isa::encoded_length(ib::jmp(0));
+  isa::encode(ib::jcc(Cond::E, static_cast<std::int64_t>(jmp_len)), s_bytes);
+  const std::uint64_t s_jmp = s_addr + s_bytes.size();
+  isa::encode(ib::jmp(static_cast<std::int64_t>(x_addr) -
+                      static_cast<std::int64_t>(s_jmp + jmp_len)),
+              s_bytes);
+  isa::encode(ib::hlt(), s_bytes);
+  std::vector<std::uint8_t> x_tail = padded(ib::add_i(Reg::RCX, 1000));
+  isa::encode(ib::jmp(static_cast<std::int64_t>(s_addr) -
+                      static_cast<std::int64_t>(slot + 8 + jmp_len)),
+              x_tail);
+
+  // Instructions per pass: X's head is 8 NOPs on pass 1 and `add rax, 1`
+  // plus NOPs on pass 2; its tail is the slot plus the jmp; S runs
+  // through its jmp.
+  auto insns_in_8 = [](const isa::Insn& in) {
+    return 1 + (8 - isa::encoded_length(in));
+  };
+  ASSERT_EQ(isa::encoded_length(ib::add_i(Reg::RCX, 1000)),
+            isa::encoded_length(ib::add_i(Reg::RCX, 1)));
+  const std::uint64_t x_tail_insns = insns_in_8(ib::add_i(Reg::RCX, 1)) + 1;
+  const std::uint64_t s_insns = s_body.size() + 1 + 1;
+  const std::uint64_t warm_budget =
+      (8 + x_tail_insns + s_insns) +
+      (insns_in_8(ib::add_i(Reg::RAX, 1)) + x_tail_insns + s_insns - 1);
+
+  auto script = [&](bool threaded, Cpu::CacheStats* stats_out) {
+    Memory mem;
+    mem.map_region(0, 1 << 20, kPermRWX, "all");
+    mem.write_bytes(slot, x_tail);
+    mem.write_bytes(s_addr, s_bytes);
+    Cpu cpu(&mem);
+    cpu.set_threaded_dispatch(threaded);
+    cpu.set_reg(Reg::RDI, x_addr);
+    cpu.set_reg(Reg::RSI, word(ib::add_i(Reg::RAX, 1)));
+    cpu.set_reg(Reg::R8, slot);
+    cpu.set_reg(Reg::R9, add_rcx_1);
+    cpu.set_reg(Reg::R10, delta);
+    cpu.set_reg(Reg::R11, data);
+    cpu.set_reg(Reg::R12, data + 8);
+    cpu.set_reg(Reg::RSP, kStack);
+    cpu.set_rip(x_addr);
+    // Two X passes and two S passes: pause on S's jmp, whose link to X
+    // the first pass established.
+    CpuStatus warm = cpu.run(warm_budget);
+    EXPECT_EQ(warm, CpuStatus::kBudgetExceeded);
+    EXPECT_EQ(cpu.rip(), s_jmp);
+    EXPECT_EQ(cpu.reg(Reg::RAX), 1u) << "pass 2 ran S's first store";
+    mem.write_bytes(x_addr, padded(ib::add_i(Reg::RAX, 100)));
+    CpuStatus done = cpu.run(100000);
+    if (stats_out) *stats_out = cpu.cache_stats();
+    return std::tuple{warm, done, cpu.rip(), cpu.insn_count(),
+                      cpu.reg(Reg::RAX), cpu.reg(Reg::RCX), cpu.flags()};
+  };
+  Cpu::CacheStats stats;
+  auto lowered = script(true, &stats);
+  auto central = script(false, nullptr);
+  EXPECT_EQ(lowered, central);
+  EXPECT_EQ(std::get<1>(lowered), CpuStatus::kHalted);
+  // Passes 3 and 4 ran the outside write; passes 2-4 ran slots 1, 1, 3.
+  EXPECT_EQ(std::get<4>(lowered), 201u);
+  EXPECT_EQ(std::get<5>(lowered), 1005u);
+  EXPECT_GT(stats.chain_hits, 0u);
+  EXPECT_GT(stats.stale_redecodes, 0u);
+}
+
+// The write epoch moves only for pages that hold decoded code, so a
+// warmed 2VM-IMPlast run -- pushes, pops, calls and VM-context spills
+// on every few instructions -- leaves it untouched while its stack
+// page's generation moves.
+TEST(Cpu, VmCallLeavesWriteEpochUnchanged) {
+  workload::ClbgBench bench;
+  for (auto& b : workload::clbg_suite())
+    if (b.name == "sp-norm") bench = std::move(b);
+  ASSERT_EQ(bench.name, "sp-norm");
+  for (const auto& f : bench.obfuscate)
+    ASSERT_TRUE(vmobf::virtualize_layers(bench.module, f, 2,
+                                         vmobf::ImpWhere::Last, 5));
+  Image img = minic::compile(bench.module);
+  LoadedImage li = img.load_shared();
+  std::uint64_t entry = img.function(bench.entry)->addr;
+  const std::uint64_t arg = 3;
+  CallResult ref = call_function(li, entry, {{arg}});
+  ASSERT_EQ(ref.status, CpuStatus::kHalted);
+
+  Memory mem = li.mem.clone();
+  Cpu cpu(&mem);
+  ASSERT_TRUE(cpu.import_cache(li.cache));
+  const std::uint64_t rsp = kStackBase + kStackSize - 72;
+  auto call = [&] {
+    cpu.set_reg(Reg::RDI, arg);
+    mem.write_u64(rsp, kHltPad);
+    cpu.set_reg(Reg::RSP, rsp);
+    cpu.set_rip(entry);
+    std::uint64_t before = cpu.insn_count();
+    EXPECT_EQ(cpu.run(200'000'000), CpuStatus::kHalted);
+    EXPECT_EQ(cpu.reg(Reg::RAX), ref.rax);
+    return cpu.insn_count() - before;
+  };
+  std::uint64_t warm_insns = call();
+  std::uint64_t epoch = mem.write_epoch();
+  std::uint32_t stack_gen = mem.page_gen(rsp - 8);
+  std::uint64_t insns = call();
+  EXPECT_EQ(mem.write_epoch(), epoch);
+  EXPECT_GT(mem.page_gen(rsp - 8), stack_gen);
+  EXPECT_EQ(insns, warm_insns);
+  EXPECT_EQ(insns, ref.insns);
+  EXPECT_GT(cpu.cache_stats().chain_hits, 0u);
 }
 
 // Hook attach/detach while paused mid-run: an installed hook demotes

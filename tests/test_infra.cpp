@@ -226,32 +226,81 @@ TEST(Memory, TlbPageCreatedAfterCachedMiss) {
 TEST(Memory, TlbPageGenAndWriteEpochAdvanceThroughHits) {
   Memory m;
   warm_tlb(m, 0);
-  std::uint64_t addr = tlb_addr(11);
-  auto step = [&](auto&& write, const char* what) {
-    std::uint32_t g = m.page_gen(addr);
-    std::uint64_t e = m.write_epoch();
+  std::uint64_t addr = tlb_addr(11);  // a data page: never marked
+  std::uint64_t code = tlb_addr(12);  // a code page: marked below
+  m.watch_code(code);
+  // Every write moves its page's generation; only a write to a marked
+  // page also moves the write epoch.
+  auto step = [&](Memory& mm, std::uint64_t at, bool marked, auto&& write,
+                  const char* what) {
+    std::uint32_t g = mm.page_gen(at);
+    std::uint64_t e = mm.write_epoch();
     write();
-    EXPECT_GT(m.page_gen(addr), g) << what;
-    EXPECT_GT(m.write_epoch(), e) << what;
+    EXPECT_GT(mm.page_gen(at), g) << what;
+    if (marked)
+      EXPECT_GT(mm.write_epoch(), e) << what;
+    else
+      EXPECT_EQ(mm.write_epoch(), e) << what;
   };
-  step([&] { m.write_u8(addr, 1); }, "write_u8");
-  step([&] { m.write(addr, 2, 4); }, "write");
-  step([&] { m.write_fixed<8>(addr, 3); }, "write_fixed");
   std::vector<std::uint8_t> blob(16, 4);
-  step([&] { m.write_bytes(addr, blob); }, "write_bytes");
+  for (std::uint64_t at : {addr, code}) {
+    bool marked = at == code;
+    step(m, at, marked, [&] { m.write_u8(at, 1); }, "write_u8");
+    step(m, at, marked, [&] { m.write(at, 2, 4); }, "write");
+    step(m, at, marked, [&] { m.write_fixed<8>(at, 3); }, "write_fixed");
+    step(m, at, marked, [&] { m.write_bytes(at, blob); }, "write_bytes");
+  }
+  // write_bytes across a marked/unmarked page line, in both directions:
+  // both generations move, and the epoch moves for the marked page.
+  std::uint64_t line = (code & ~(Memory::kPageSize - 1)) + Memory::kPageSize;
+  (void)m.read_u64(line);  // warm the unmarked neighbour's entry
+  for (std::uint64_t at : {line - 8, line - Memory::kPageSize - 8}) {
+    std::uint32_t g_lo = m.page_gen(at), g_hi = m.page_gen(at + 8);
+    std::uint64_t e = m.write_epoch();
+    m.write_bytes(at, blob);
+    EXPECT_GT(m.page_gen(at), g_lo) << at;
+    EXPECT_GT(m.page_gen(at + 8), g_hi) << at;
+    EXPECT_GT(m.write_epoch(), e) << at;
+  }
+  std::uint32_t g_line = m.page_gen(line);
+  std::uint64_t e_line = m.write_epoch();
+  m.write_bytes(line + 8, blob);  // the unmarked page alone
+  EXPECT_GT(m.page_gen(line), g_line);
+  EXPECT_EQ(m.write_epoch(), e_line);
   // Through a copy-on-write swap: the source's generation moves, the
-  // clone keeps the snapshot it copied.
+  // clone keeps the snapshot it copied. The clone inherits the marks.
   Memory c = m.clone();
   std::uint32_t shared = c.page_gen(addr);
-  step([&] { m.write_u64(addr, 5); }, "cow write");
+  std::uint32_t shared_code = c.page_gen(code);
+  step(m, addr, false, [&] { m.write_u64(addr, 5); }, "cow write");
+  step(m, code, true, [&] { m.write_u64(code, 5); }, "cow write, marked");
   EXPECT_EQ(c.page_gen(addr), shared);
+  EXPECT_EQ(c.page_gen(code), shared_code);
   EXPECT_EQ(c.read_u8(addr), 4u);
+  EXPECT_EQ(c.read_u8(code), 4u);
+  step(c, addr, false, [&] { c.write_u64(addr, 6); }, "clone write");
+  step(c, code, true, [&] { c.write_u64(code, 6); }, "clone write, marked");
   // Reads never move either counter.
-  std::uint32_t g = m.page_gen(addr);
+  std::uint32_t g = m.page_gen(code);
   std::uint64_t e = m.write_epoch();
-  (void)m.read_u64(addr);
-  EXPECT_EQ(m.page_gen(addr), g);
+  (void)m.read_u64(code);
+  EXPECT_EQ(m.page_gen(code), g);
   EXPECT_EQ(m.write_epoch(), e);
+}
+
+TEST(Memory, CodeMarkOnNeverWrittenPage) {
+  // Marking a page that was never written materializes a zero page, so
+  // a read that fills the TLB with the slot and a write through that
+  // TLB entry both find a page behind it.
+  Memory m;
+  m.watch_code(0x5000);
+  EXPECT_EQ(m.read_u8(0x5000), 0u);
+  EXPECT_EQ(m.page_gen(0x5000), 0u);
+  std::uint64_t e = m.write_epoch();
+  m.write_u8(0x5000, 1);
+  EXPECT_EQ(m.read_u8(0x5000), 1u);
+  EXPECT_GT(m.page_gen(0x5000), 0u);
+  EXPECT_GT(m.write_epoch(), e);
 }
 
 TEST(Memory, TlbFrozenSnapshotReadByThreadsWhileClonesWrite) {
@@ -394,20 +443,42 @@ TEST(Memory, RegionLookupIndexExactAcrossAppendsAndOverlap) {
   EXPECT_EQ(m.region_at(0x2900)->name, "overlay");
 }
 
-TEST(Memory, WriteEpochAdvancesOnAnyMutation) {
+TEST(Memory, WriteEpochAdvancesOnCodePageWritesAndRegionAppends) {
   Memory m;
   m.map_region(0x1000, 0x2000, kPermRW, "d");
   std::uint64_t e0 = m.write_epoch();
   m.write_u8(0x1000, 1);
+  EXPECT_EQ(m.write_epoch(), e0);  // unmarked page: generation only
+  m.watch_code(0x1000);
+  EXPECT_EQ(m.write_epoch(), e0);  // marking is not a mutation
+  m.write_u8(0x1000, 2);
   std::uint64_t e1 = m.write_epoch();
   EXPECT_GT(e1, e0);
   (void)m.read_u64(0x1000);
   EXPECT_EQ(m.write_epoch(), e1);  // reads never move the epoch
   m.write_bytes(0x1ff0, std::vector<std::uint8_t>(32, 0xcc));
-  EXPECT_GT(m.write_epoch(), e1);  // one bump per page touched
+  EXPECT_EQ(m.write_epoch(), e1 + 1);  // one bump per marked page touched
   std::uint64_t e2 = m.write_epoch();
   m.map_region(0x9000, 0x1000, kPermR, "r");
   EXPECT_GT(m.write_epoch(), e2);  // region appends count as mutations
+}
+
+TEST(Memory, CodeMarkOnFrozenSnapshotIsNoOp) {
+  Memory m;
+  m.write_u64(0x1000, 42);
+  m.freeze();
+  std::uint64_t e = m.write_epoch();
+  EXPECT_NO_THROW(m.watch_code(0x1000));
+  EXPECT_NO_THROW(m.watch_code(0x8000));  // never written: not created
+  EXPECT_EQ(m.write_epoch(), e);
+  EXPECT_EQ(m.read_u64(0x1000), 42u);
+  EXPECT_EQ(m.page_gen(0x8000), 0u);
+  // Nothing was marked, so a clone's writes leave its epoch alone.
+  Memory c = m.clone();
+  c.write_u64(0x1000, 7);
+  c.write_u64(0x8000, 7);
+  EXPECT_EQ(c.write_epoch(), e);
+  EXPECT_EQ(m.read_u64(0x1000), 42u);
 }
 
 TEST(Memory, FreezeLineageAndImmutability) {
