@@ -49,17 +49,6 @@ inline int bench_threads() {
   return 4;
 }
 
-// Commit shards for engine batches (RAINDROP_SHARDS, default 0 = one
-// shard per craft thread). Output is bit-identical at any shard count.
-inline int bench_shards() {
-  const char* e = std::getenv("RAINDROP_SHARDS");
-  if (e && *e) {
-    int n = std::atoi(e);
-    if (n > 0) return n;
-  }
-  return 0;
-}
-
 // Machine-readable results: collects scalar metrics and string notes,
 // then writes BENCH_<name>.json (flat schema: name, mode, wall-clock,
 // metrics object). Values are recorded in insertion order.
@@ -252,6 +241,11 @@ inline void emit_analysis_cache(BenchJson& json) {
               static_cast<double>(ss.corrupt_evictions));
 }
 
+// Phase-2 wall-clock of one engine batch: resolve plus materialize.
+inline double commit_seconds(const engine::ModuleResult& mr) {
+  return mr.resolve_seconds + mr.materialize_seconds;
+}
+
 // Per-stage pipeline telemetry (DESIGN.md §9): the craft / resolve /
 // materialize split of one engine batch, under a common key prefix, so
 // every bench that runs a batch records where its wall-clock went.
@@ -261,7 +255,7 @@ inline void emit_stage_seconds(BenchJson& json,
   json.metric(prefix + "craft_s", mr.craft_seconds);
   json.metric(prefix + "resolve_s", mr.resolve_seconds);
   json.metric(prefix + "materialize_s", mr.materialize_seconds);
-  json.metric(prefix + "commit_s", mr.commit_seconds);
+  json.metric(prefix + "commit_s", commit_seconds(mr));
 }
 
 // Service pipeline telemetry (DESIGN.md §9): per-stage busy seconds,

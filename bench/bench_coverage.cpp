@@ -32,15 +32,14 @@ struct BatchOutcome {
   engine::ModuleResult mod;
 };
 
-BatchOutcome run_batch(const workload::Corpus& cp, int threads,
-                       int shards = 0) {
+BatchOutcome run_batch(const workload::Corpus& cp, int threads) {
   BatchOutcome out;
   out.img = minic::compile(cp.module);
   // Private cache per run: the 1-vs-N comparison below stays cold/cold
   // (warm-sweep amortization is bench_table2 --warm's metric).
   engine::ObfuscationEngine eng(&out.img, coverage_cfg(),
                                 std::make_shared<analysis::AnalysisCache>());
-  out.mod = eng.obfuscate_module(cp.functions, threads, shards);
+  out.mod = eng.obfuscate_module(cp.functions, threads);
   return out;
 }
 
@@ -102,42 +101,40 @@ int main() {
   // guarantees byte-identical output at any thread count; verify it and
   // report the wall-clock gain of crafting in parallel.
   int threads = bench_threads();
-  BatchOutcome parallel = run_batch(cp, threads, bench_shards());
+  BatchOutcome parallel = run_batch(cp, threads);
+  // A second, odd pool width: phase 2a plans one core-key shard per
+  // worker, so this resolves on an odd shard count. Both widths must be
+  // bit-identical to the serial reference.
+  const int odd_width = (threads + 1) | 1;
+  BatchOutcome odd = run_batch(cp, odd_width);
   bool identical = true;
-  for (const char* sec : {".ropdata", ".text", ".data"})
-    identical &= serial.img.section_bytes(sec) ==
-                 parallel.img.section_bytes(sec);
-  // Shard sweep: resolving the commit on many core-key shards must also
-  // be bit-identical to the serial (1,1) reference.
-  {
-    BatchOutcome sharded = run_batch(cp, threads, 16);
+  for (const BatchOutcome* run : {&parallel, &odd})
     for (const char* sec : {".ropdata", ".text", ".data"})
-      identical &= serial.img.section_bytes(sec) ==
-                   sharded.img.section_bytes(sec);
-  }
+      identical &=
+          serial.img.section_bytes(sec) == run->img.section_bytes(sec);
   double speedup = parallel.mod.craft_seconds > 0
                        ? serial.mod.craft_seconds / parallel.mod.craft_seconds
                        : 0.0;
-  double e2e_serial = serial.mod.craft_seconds + serial.mod.commit_seconds;
+  double e2e_serial = serial.mod.craft_seconds + commit_seconds(serial.mod);
   double e2e_parallel =
-      parallel.mod.craft_seconds + parallel.mod.commit_seconds;
+      parallel.mod.craft_seconds + commit_seconds(parallel.mod);
   std::printf("\n=== Batch throughput (engine.obfuscate_module) ===\n");
   std::printf("craft   1 thread : %6.3fs   %d threads: %6.3fs   "
               "speedup: %.2fx\n",
               serial.mod.craft_seconds, threads, parallel.mod.craft_seconds,
               speedup);
   std::printf("commit  (serial) : %6.3fs              %6.3fs\n",
-              serial.mod.commit_seconds, parallel.mod.commit_seconds);
+              commit_seconds(serial.mod), commit_seconds(parallel.mod));
   std::printf("end-to-end       : %6.3fs              %6.3fs   "
               "speedup: %.2fx\n",
               e2e_serial, e2e_parallel,
               e2e_parallel > 0 ? e2e_serial / e2e_parallel : 0.0);
-  std::printf("outputs byte-identical across thread counts: %s\n",
-              identical ? "yes" : "NO (BUG)");
+  std::printf("outputs byte-identical at pool widths 1, %d and %d: %s\n",
+              threads, odd_width, identical ? "yes" : "NO (BUG)");
   json.metric("craft_threads", threads);
   json.metric("craft_seconds_1t", serial.mod.craft_seconds);
   json.metric("craft_seconds_nt", parallel.mod.craft_seconds);
-  json.metric("commit_seconds", serial.mod.commit_seconds);
+  json.metric("commit_seconds", commit_seconds(serial.mod));
   json.metric("resolve_seconds_1t", serial.mod.resolve_seconds);
   json.metric("resolve_seconds_nt", parallel.mod.resolve_seconds);
   emit_stage_seconds(json, serial.mod, "batch_1t_");

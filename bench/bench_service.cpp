@@ -68,7 +68,6 @@ struct StreamedRun {
 // sequential baseline does -- real front-door clients do work between
 // submits, and overlapping it is part of what the pipeline buys.
 StreamedRun run_streamed(const std::vector<JobSpec>& jobs, int threads,
-                         int shards,
                          std::shared_ptr<analysis::AnalysisCache> cache) {
   StreamedRun out;
   out.imgs.resize(jobs.size());
@@ -76,7 +75,6 @@ StreamedRun run_streamed(const std::vector<JobSpec>& jobs, int threads,
   {
     engine::ServiceConfig sc;
     sc.craft_threads = threads;
-    sc.commit_shards = shards;
     sc.cache = std::move(cache);
     engine::ObfuscationService service(sc);
     std::vector<engine::JobHandle> handles;
@@ -118,7 +116,6 @@ int main() {
   const int repeats = full ? 4 : smoke ? 2 : 3;
   const int corpus_size = full ? 200 : smoke ? 40 : 100;
   const int threads = bench_threads();
-  const int shards = bench_shards();
 
   std::vector<workload::Corpus> corpora;
   corpora.reserve(static_cast<std::size_t>(distinct));
@@ -151,7 +148,7 @@ int main() {
     seq_imgs[j] = minic::compile(jobs[j].corpus->module);
     engine::ObfuscationEngine eng(&seq_imgs[j], jobs[j].cfg,
                                   std::make_shared<analysis::AnalysisCache>());
-    seq_ok += eng.obfuscate_module(jobs[j].corpus->functions, threads, shards)
+    seq_ok += eng.obfuscate_module(jobs[j].corpus->functions, threads)
                   .ok_count;
   }
   const double seq_s = watch.seconds();
@@ -163,7 +160,7 @@ int main() {
   // the cross-client reuse that drives the streaming win -- can be
   // reported below (the process-wide cache is untouched by this bench).
   auto svc_cache = std::make_shared<analysis::AnalysisCache>();
-  StreamedRun stream = run_streamed(jobs, threads, shards, svc_cache);
+  StreamedRun stream = run_streamed(jobs, threads, svc_cache);
 
   // Byte identity: a streamed job must equal its standalone twin.
   const bool identical =

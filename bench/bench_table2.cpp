@@ -90,7 +90,7 @@ SweepStats run_sweep(const workload::Corpus& cp,
     auto cache =
         shared ? shared : std::make_shared<analysis::AnalysisCache>();
     engine::ObfuscationEngine eng(&img, c, cache);
-    auto mr = eng.obfuscate_module(cp.functions, 1, bench_shards());
+    auto mr = eng.obfuscate_module(cp.functions, 1);
     st.built += mr.ok_count;
     st.hits += mr.analysis_cache_hits;
     st.misses += mr.analysis_cache_misses;

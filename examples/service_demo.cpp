@@ -55,8 +55,9 @@ int main() {
                 "%.1fms of craft hidden behind another module's commit, "
                 "%d sessions in flight)\n",
                 m, r.ok_count, r.results.size(), r.craft_seconds * 1e3,
-                r.commit_seconds * 1e3, r.queue_seconds * 1e3,
-                r.overlap_seconds * 1e3, r.sessions_in_flight);
+                (r.resolve_seconds + r.materialize_seconds) * 1e3,
+                r.queue_seconds * 1e3, r.overlap_seconds * 1e3,
+                r.sessions_in_flight);
   }
 
   auto st = service.stats();

@@ -86,7 +86,8 @@ struct LookupOutcome {
   bool store_hit = false;       // promoted from the store
   bool spilled = false;         // store attached, record absent: built + put
   bool memory_corrupt = false;  // memory entry failed integrity, evicted
-  bool store_corrupt = false;   // store record failed decode/check, evicted
+  bool store_corrupt = false;   // store record failed its digest, decode
+                                // or check, evicted
 };
 
 class AnalysisCache {
@@ -286,7 +287,7 @@ std::shared_ptr<typename Codec::Value> AnalysisCache::get_or_build(
   LookupOutcome& o = out ? *out : local;
   if (st) {
     if (std::optional<std::vector<std::uint8_t>> payload =
-            st->get(Codec::kKind, key)) {
+            st->get(Codec::kKind, key, &o.store_corrupt)) {
       std::shared_ptr<typename Codec::Value> loaded = codec.decode(*payload);
       if (loaded && codec.check(*loaded) == Verdict::kValid) {
         o.hit = o.store_hit = true;

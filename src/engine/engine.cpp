@@ -165,6 +165,16 @@ constexpr std::uint64_t kCraftMemoTag = 0x435246540001ull;
 // records in the old layout miss instead of failing to parse.
 constexpr std::uint64_t kModuleRecordTag = 0x4d4f44554c450003ull;
 
+// Runs fn on `pool` when given (the service's shared workers), else on
+// one private `threads`-wide pool -- the only place the engine builds
+// a pool of its own.
+template <class Fn>
+decltype(auto) on_pool(ThreadPool* pool, int threads, Fn&& fn) {
+  if (pool) return fn(*pool);
+  ThreadPool own(threads);
+  return fn(own);
+}
+
 }  // namespace
 
 // Disk-tier codec for a whole CraftArtifact (Kind::kCraftMemo records,
@@ -477,9 +487,7 @@ CraftedModule ObfuscationEngine::craft_module(
   for (const std::string& name : names) pre.push_back(preallocate(name));
 
   // Phase 1: pure parallel craft against the frozen pool. Results land
-  // in their input slot; thread scheduling cannot reorder anything. An
-  // external pool (the service's shared workers) is used as-is; its
-  // width then governs parallelism.
+  // in their input slot; thread scheduling cannot reorder anything.
   pool_.freeze();
   cm.crafted.resize(names.size());
   std::atomic<std::size_t> shed{0};
@@ -490,7 +498,7 @@ CraftedModule ObfuscationEngine::craft_module(
   // kCraftAttempts the exception escapes through parallel_for's capture
   // and the whole batch fails to the caller (the service quarantines).
   constexpr int kCraftAttempts = 3;
-  auto craft_all = [&](ThreadPool& tp) {
+  on_pool(pool, threads, [&](ThreadPool& tp) {
     tp.parallel_for(names.size(), [&](std::size_t i) {
       // Cancellation poll between functions: a dropped JobHandle sheds
       // the rest of an in-flight batch instead of crafting to
@@ -509,13 +517,7 @@ CraftedModule ObfuscationEngine::craft_module(
         }
       }
     });
-  };
-  if (pool) {
-    craft_all(*pool);
-  } else {
-    ThreadPool tp(threads);
-    craft_all(tp);
-  }
+  });
   cm.craft_shed = shed.load(std::memory_order_relaxed);
   cm.craft_retries = retried.load(std::memory_order_relaxed);
   cm.craft_seconds = watch.seconds();
@@ -523,23 +525,18 @@ CraftedModule ObfuscationEngine::craft_module(
 }
 
 ResolvedModule ObfuscationEngine::resolve_module(CraftedModule&& cm,
-                                                 int threads, int shards,
+                                                 int threads,
                                                  ThreadPool* pool) {
   ResolvedModule rm;
   Stopwatch watch;
-  if (shards <= 0) shards = std::max(1, threads);
-  rm.commit_shards = shards;
-  rm.names = std::move(cm.names);
-  rm.crafted = std::move(cm.crafted);
-  rm.craft_seconds = cm.craft_seconds;
-  rm.craft_retries = cm.craft_retries;
+  rm.cm = std::move(cm);
 
   // Phase 2a: sharded parallel request planning, batch order. A name
   // listed twice in one batch crafts twice (prealloc happens before any
   // commit); only the first artifact may land, so losers are demoted
   // *before* planning and synthesize nothing.
   std::unordered_set<std::string> landing;
-  for (CraftedFunction& cf : rm.crafted) {
+  for (CraftedFunction& cf : rm.cm.crafted) {
     if (!cf.ok) continue;
     if (img_->function(cf.name)->rop_rewritten || !landing.insert(cf.name).second) {
       cf.ok = false;
@@ -548,7 +545,7 @@ ResolvedModule ObfuscationEngine::resolve_module(CraftedModule&& cm,
     }
   }
   std::vector<const gadgets::GadgetRequest*> flat;
-  for (const CraftedFunction& cf : rm.crafted) {
+  for (const CraftedFunction& cf : rm.cm.crafted) {
     if (!cf.ok) continue;
     for (const gadgets::GadgetRequest& req : cf.art->requests)
       flat.push_back(&req);
@@ -573,8 +570,10 @@ ResolvedModule ObfuscationEngine::resolve_module(CraftedModule&& cm,
   rm.plan = std::move(*AnalysisCache::get_or_build(
       st, gadgets::PlanCodec{&pool_, flat.size()}, pk,
       [&] {
-        return std::make_shared<gadgets::ResolvedPlan>(
-            pool_.plan_batch(flat, shards, threads, pool));
+        return on_pool(pool, threads, [&](ThreadPool& tp) {
+          return std::make_shared<gadgets::ResolvedPlan>(
+              pool_.plan_batch(flat, tp));
+        });
       },
       &rm.plan_lookup));
   rm.resolve_seconds = watch.seconds();
@@ -584,11 +583,10 @@ ResolvedModule ObfuscationEngine::resolve_module(CraftedModule&& cm,
 ModuleResult ObfuscationEngine::materialize_module(ResolvedModule&& rm) {
   ModuleResult out;
   Stopwatch watch;
-  out.commit_shards = rm.commit_shards;
-  out.craft_seconds = rm.craft_seconds;
+  out.craft_seconds = rm.cm.craft_seconds;
   out.resolve_seconds = rm.resolve_seconds;
-  out.craft_retries = rm.craft_retries;
-  std::vector<CraftedFunction>& crafted = rm.crafted;
+  out.craft_retries = rm.cm.craft_retries;
+  std::vector<CraftedFunction>& crafted = rm.cm.crafted;
 
   // Every tier lookup of the batch (analyses + craft memo per crafted
   // function, one plan record) folds into the counters here.
@@ -641,7 +639,7 @@ ModuleResult ObfuscationEngine::materialize_module(ResolvedModule&& rm) {
   std::uint64_t chain_base = batch_base;
   Image::DeferredCommit dc;
   dc.section = ".ropdata";
-  out.results.reserve(rm.names.size());
+  out.results.reserve(crafted.size());
   for (CraftedFunction& cf : crafted) {
     out.results.push_back(stage_one(cf, chain_base, &dc));
     const rop::RewriteResult& res = out.results.back();
@@ -663,14 +661,12 @@ ModuleResult ObfuscationEngine::materialize_module(ResolvedModule&& rm) {
     }
     out.ok_count = 0;
     out.materialize_seconds = watch.seconds();
-    out.commit_seconds = out.resolve_seconds + out.materialize_seconds;
     return out;
   }
   img_->apply_commit(dc);
   for (const CraftedFunction& cf : crafted)
     if (cf.ok) img_->function(cf.name)->rop_rewritten = true;
   out.materialize_seconds = watch.seconds();
-  out.commit_seconds = out.resolve_seconds + out.materialize_seconds;
   return out;
 }
 
@@ -694,21 +690,26 @@ std::uint64_t ObfuscationEngine::module_key(
 // every input of the deterministic build (image bytes, config, batch),
 // so a hit can only serve what this build would have produced, and the
 // Image and per-function results round-trip exactly (a hit returns the
-// same `results` as the build that spilled the record). `threads`/
-// `shards` are deliberately not in the key: output is bit-identical
-// across both (see above). On a miss the freshly built module is
-// spilled for the next process.
+// same `results` as the build that spilled the record). `threads` is
+// deliberately not in the key: output is bit-identical at every pool
+// width (see above). On a miss the freshly built module is spilled for
+// the next process.
 ModuleResult ObfuscationEngine::obfuscate_module(
-    const std::vector<std::string>& names, int threads, int shards) {
+    const std::vector<std::string>& names, int threads) {
+  // The three stages back to back, craft and resolve on one pool.
+  auto build = [&] {
+    ThreadPool tp(threads);
+    return materialize_module(
+        resolve_module(craft_module(names, threads, &tp), threads, &tp));
+  };
   std::shared_ptr<store::ArtifactStore> st =
       (module_record_eligible_ && cache_) ? cache_->store() : nullptr;
-  if (!st)
-    return materialize_module(
-        resolve_module(craft_module(names, threads), threads, shards));
+  if (!st) return build();
 
   const std::uint64_t mkey = module_key(names);
-  const std::uint64_t evictions_before = st->stats().corrupt_evictions;
-  if (std::optional<store::ModuleRecord> rec = store::get_module(*st, mkey)) {
+  bool evicted = false;
+  if (std::optional<store::ModuleRecord> rec =
+          store::get_module(*st, mkey, &evicted)) {
     module_record_eligible_ = false;
     *img_ = std::move(rec->img);
     total_points_ = rec->program_points;
@@ -720,16 +721,17 @@ ModuleResult ObfuscationEngine::obfuscate_module(
     out.store_hit_rate = 1.0;
     return out;
   }
-  ModuleResult out = materialize_module(
-      resolve_module(craft_module(names, threads), threads, shards));
+  // The batch's own lookups are already tallied; add only the module
+  // record's eviction, never the store-wide counter, which also moves
+  // for other engines sharing the store.
+  ModuleResult out = build();
+  out.store_corrupt_evictions += evicted;
   if (!out.rejected && !out.cancelled) {
     // The engine was virgin, so its aggregate is this batch's alone.
     store::put_module(*st, mkey, *img_, out.results, total_points_,
                       all_gadget_addrs_);
     ++out.store_misses;
     ++out.store_spills;
-    out.store_corrupt_evictions +=
-        st->stats().corrupt_evictions - evictions_before;
     std::size_t lookups = out.store_hits + out.store_misses;
     out.store_hit_rate = static_cast<double>(out.store_hits) /
                          static_cast<double>(lookups);

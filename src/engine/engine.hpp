@@ -14,16 +14,17 @@
 //
 // Phase 2 (commit) is split in two:
 //   2a (resolve, parallel): all gadget requests of the batch plan
-//      through GadgetPool::plan_batch -- sharded by core-key hash,
-//      planned in parallel against the frozen catalog, pure with respect
-//      to the image. This is where cross-function gadget reuse
-//      (Table III's B << A) happens.
+//      through GadgetPool::plan_batch -- sharded by core-key hash, one
+//      shard per worker of the pool it runs on, planned in parallel
+//      against the frozen catalog, pure with respect to the image. This
+//      is where cross-function gadget reuse (Table III's B << A)
+//      happens.
 //   2b (materialize, serial): the plan's new gadgets land in the image
 //      in deterministic batch order, then chains land in .ropdata,
 //      P1 arrays are written, pivot stubs installed -- the whole batch
 //      staged as ONE deferred image commit (one .ropdata append plus all
 //      patches), so the serial tail is a single image mutation per batch.
-// Output images are bit-identical for every (threads, shards) pair.
+// Output images are bit-identical at every pool width.
 //
 // All three phases are public pipeline stages (craft_module /
 // resolve_module / materialize_module) so a long-lived
@@ -147,10 +148,8 @@ struct ModuleResult {
   std::vector<rop::RewriteResult> results;  // parallel to the input names
   std::size_t ok_count = 0;
   double craft_seconds = 0.0;        // phase 1 wall-clock
-  double commit_seconds = 0.0;       // phase 2 (resolve + materialize)
   double resolve_seconds = 0.0;      // phase 2a (sharded request planning)
   double materialize_seconds = 0.0;  // phase 2b (serial image mutation)
-  int commit_shards = 0;             // shard count phase 2a actually used
   // Pipeline admission outcomes (service only): a job rejected by the
   // fail-fast backpressure policy, or cancelled because every client
   // JobHandle was dropped before it entered resolve. Either way
@@ -222,13 +221,9 @@ struct CraftedModule {
 // the parallel planning of module N+1 overlaps the serial image
 // mutation of module N.
 struct ResolvedModule {
-  std::vector<std::string> names;
-  std::vector<CraftedFunction> crafted;  // parallel to names
-  gadgets::ResolvedPlan plan;            // persistent 2a output
-  double craft_seconds = 0.0;
+  CraftedModule cm;            // stage 1's product, duplicates demoted
+  gadgets::ResolvedPlan plan;  // persistent 2a output
   double resolve_seconds = 0.0;
-  int commit_shards = 0;
-  std::size_t craft_retries = 0;
   // How the store served the phase-2a plan record (DESIGN.md §13);
   // folded into ModuleResult's store counters by materialize_module.
   analysis::LookupOutcome plan_lookup;
@@ -244,15 +239,14 @@ class ObfuscationEngine {
   ObfuscationEngine(Image* img, const rop::ObfConfig& cfg,
                     std::shared_ptr<analysis::AnalysisCache> cache = nullptr);
 
-  // Batch API: obfuscates `names` with phase 1 on `threads` crafting
-  // threads and phase-2a request resolution on `shards` core-key shards
-  // (<= 0: one shard per thread). Output images and stats are
-  // bit-identical for every (threads, shards) combination. A thin facade
-  // over the three pipeline stages below (craft_module, resolve_module,
-  // materialize_module), which is the same path the streaming
-  // ObfuscationService drives.
+  // Batch API: obfuscates `names` with phase 1 and phase 2a on one
+  // `threads`-wide pool (phase 2a shards its requests one per worker).
+  // Output images and stats are bit-identical at every width. A thin
+  // facade over the three pipeline stages below (craft_module,
+  // resolve_module, materialize_module), which is the same path the
+  // streaming ObfuscationService drives.
   ModuleResult obfuscate_module(const std::vector<std::string>& names,
-                                int threads = 1, int shards = 0);
+                                int threads = 1);
 
   // Pipeline stage 1: serial prealloc pre-pass + pure parallel craft.
   // Runs on `pool` when given (the service's shared workers; its width
@@ -271,11 +265,12 @@ class ObfuscationEngine {
   // Pipeline stage 2a: sharded parallel planning of every gadget
   // request of the batch (GadgetPool::plan_batch) -- pure with respect
   // to the image, so it may overlap another module's materialize. Runs
-  // on `pool` when given, else on a private `threads`-wide pool.
-  // Consumes the CraftedModule; the ResolvedModule must be materialized
-  // before this engine's next craft (per-session FIFO in the service).
+  // on `pool` when given, else on a private `threads`-wide pool, with
+  // one shard per worker of that pool. Consumes the CraftedModule; the
+  // ResolvedModule must be materialized before this engine's next craft
+  // (per-session FIFO in the service).
   ResolvedModule resolve_module(CraftedModule&& cm, int threads = 1,
-                                int shards = 0, ThreadPool* pool = nullptr);
+                                ThreadPool* pool = nullptr);
 
   // Pipeline stage 2b: the serial image-mutating tail -- planned
   // gadgets appended in batch order, then the whole batch staged as one

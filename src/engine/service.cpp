@@ -411,8 +411,7 @@ void ObfuscationService::craft(std::shared_ptr<ServiceJob> job, Lock& lk) {
     // session's engine while the job is still in flight).
     ++stats_.jobs_degraded_serial;
     lk.unlock();
-    ModuleResult r = job->session->run(job->names, cfg_.craft_threads,
-                                       cfg_.commit_shards);
+    ModuleResult r = job->session->run(job->names, cfg_.craft_threads);
     r.degraded_serial = true;
     lk.lock();
     finish_locked(*job, std::move(r), Outcome::kCompleted);
@@ -429,8 +428,7 @@ void ObfuscationService::craft(std::shared_ptr<ServiceJob> job, Lock& lk) {
 void ObfuscationService::resolve(std::shared_ptr<ServiceJob> job, Lock& lk) {
   if (!run_stage(stages_[kResolve], *job, lk, [&] {
         job->rm = job->session->engine_.resolve_module(
-            std::move(job->cm), cfg_.craft_threads, cfg_.commit_shards,
-            &pool_);
+            std::move(job->cm), cfg_.craft_threads, &pool_);
       }))
     return;
   handoff(stages_[kMaterialize], std::move(job), lk);

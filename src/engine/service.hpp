@@ -8,7 +8,7 @@
 //   * one shared AnalysisCache (analyses, harvest layers, craft memos
 //     stay hot across sessions -- DESIGN.md §7),
 //   * one shared ThreadPool (craft fan-out and sharded resolve of all
-//     sessions run on the same workers),
+//     sessions run on the same workers; resolve shards one per worker),
 //   * a three-stage pipeline mirroring the engine's public stages
 //     (DESIGN.md §9): craft, resolve and materialize are three records
 //     of one Stage type, each with its own queue and worker, all run by
@@ -30,7 +30,7 @@
 // its previous job materialized), so a streamed module is
 // byte-identical to standalone obfuscate_module() runs with the same
 // batches and seed -- the pipeline moves wall-clock, never bytes, at
-// every (threads, shards, sessions, craft bound) combination
+// every (pool width, sessions, craft bound) combination
 // (tests/test_service.cpp).
 //
 // Telemetry: every result that completed the pipeline carries
@@ -62,11 +62,10 @@ namespace raindrop::engine {
 
 struct ServiceConfig {
   // Workers in the shared pool that phase 1 (craft) and phase 2a
-  // (resolve) of every session fan out on. <= 1 runs stage work inline
-  // on the stage threads -- the inter-stage overlap remains.
+  // (resolve) of every session fan out on; phase 2a plans one shard per
+  // worker. <= 1 runs stage work inline on the stage threads -- the
+  // inter-stage overlap remains.
   int craft_threads = 1;
-  // Phase-2a shard count for every job (<= 0: one per craft thread).
-  int commit_shards = 0;
   // Bound on jobs admitted but not yet crafting (craft queue plus
   // session backlogs). 0 = unbounded. When full, submit() follows
   // `submit_policy`.
@@ -209,7 +208,6 @@ class ObfuscationService {
     return cache_;
   }
   int craft_threads() const { return cfg_.craft_threads; }
-  int commit_shards() const { return cfg_.commit_shards; }
 
  private:
   friend class Session;

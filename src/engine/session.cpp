@@ -37,13 +37,12 @@ JobHandle Session::submit(std::vector<std::string> names) {
   return h;
 }
 
-ModuleResult Session::run(const std::vector<std::string>& names, int threads,
-                          int shards) {
+ModuleResult Session::run(const std::vector<std::string>& names, int threads) {
   // Serialize synchronous runs: the engine is not concurrent-safe, and
   // a session's thread-safety must not silently degrade when it detaches
   // from its service (clients may keep submitting from several threads).
   std::lock_guard<std::mutex> g(sync_mu_);
-  return engine_.obfuscate_module(names, threads, shards);
+  return engine_.obfuscate_module(names, threads);
 }
 
 }  // namespace raindrop::engine

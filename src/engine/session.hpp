@@ -84,8 +84,7 @@ class Session : public std::enable_shared_from_this<Session> {
   // ObfuscationEngine::obfuscate_module. Mutually serialized (concurrent
   // callers queue on an internal mutex), but must not be mixed with
   // in-flight pipeline jobs of the same session -- use submit() there.
-  ModuleResult run(const std::vector<std::string>& names, int threads = 1,
-                   int shards = 0);
+  ModuleResult run(const std::vector<std::string>& names, int threads = 1);
 
   ObfuscationEngine& engine() { return engine_; }
   const ObfuscationEngine& engine() const { return engine_; }

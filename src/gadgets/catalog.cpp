@@ -25,6 +25,9 @@ namespace {
 // shared AnalysisCache become unreachable instead of wrong.
 constexpr std::uint64_t kHarvestVersion = 1;
 
+// Where plant() and commit_plan() append synthesized gadgets.
+constexpr const char* kGadgetSection = ".text";
+
 std::uint64_t fnv1a(const std::string& s) {
   return AnalysisCache::hash_bytes(
       reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
@@ -32,11 +35,10 @@ std::uint64_t fnv1a(const std::string& s) {
 
 }  // namespace
 
-GadgetPool::GadgetPool(Image* img, std::uint64_t seed, int max_variants,
-                       std::string section)
+GadgetPool::GadgetPool(Image* img, std::uint64_t seed, int max_variants)
     : img_(img),
       resolve_seed_(Rng(seed + 0x524553ull).next()),
-      max_variants_(max_variants), section_(std::move(section)) {}
+      max_variants_(max_variants) {}
 
 std::string GadgetPool::key_of(std::span<const Insn> core, bool jop,
                                Reg jop_target) {
@@ -160,7 +162,7 @@ std::uint64_t GadgetPool::plant(std::span<const Insn> core) {
   isa::encode(isa::ib::ret(), bytes);
   Gadget g;
   g.body.assign(core.begin(), core.end());
-  g.addr = img_->append(section_, bytes);
+  g.addr = img_->append(kGadgetSection, bytes);
   return register_owned(std::move(g), key_of(core, false, Reg::RAX))->addr;
 }
 
@@ -213,7 +215,7 @@ std::size_t ResolvedPlan::planned_count() const {
 }
 
 ResolvedPlan GadgetPool::plan_batch(std::span<const GadgetRequest* const> reqs,
-                                    int shards, int threads, ThreadPool* pool) {
+                                    ThreadPool& pool) {
   // Fault site sits before any pool state changes (freeze, ordinal
   // consumption), so a faulted plan leaves the catalog untouched.
   fault::maybe_throw("pool.plan");
@@ -224,7 +226,7 @@ ResolvedPlan GadgetPool::plan_batch(std::span<const GadgetRequest* const> reqs,
   if (reqs.empty()) return plan;
   const std::uint64_t base_ordinal = next_request_ordinal_;
   next_request_ordinal_ += reqs.size();
-  const int nshards = std::max(1, shards);
+  const int nshards = std::max(1, pool.thread_count());
 
   // Partition by core-key hash. Same key -> same shard, so a shard sees
   // every bank its requests can grow, in batch order.
@@ -243,91 +245,84 @@ ResolvedPlan GadgetPool::plan_batch(std::span<const GadgetRequest* const> reqs,
   // task per shard. A request resolves against the persistent banks plus
   // the shard-local gadgets planned by earlier requests of its key;
   // randomness comes from a counter-based stream over the request's
-  // global ordinal, so nothing depends on shard count or scheduling.
+  // global ordinal, so nothing depends on pool width or scheduling.
   using Slot = ResolvedPlan::Impl::Slot;
   std::vector<Slot>& slots = plan.impl_->slots;
   slots.resize(reqs.size());
   std::vector<std::vector<Planned>>& shard_planned = plan.impl_->shard_planned;
   shard_planned.resize(static_cast<std::size_t>(nshards));
-  {
-    // Plan on the caller's shared pool when given (service pipeline),
-    // else a private pool of `threads` workers.
-    std::optional<ThreadPool> own;
-    if (!pool) pool = &own.emplace(threads);
-    pool->parallel_for(static_cast<std::size_t>(nshards), [&](std::size_t s) {
-      std::vector<Planned>& planned = shard_planned[s];
-      std::unordered_map<std::string, std::vector<std::size_t>>
-          planned_by_key;
-      std::vector<const Gadget*> fits;
-      for (std::size_t i : shard_reqs[s]) {
-        const GadgetRequest& req = *reqs[i];
-        Rng rng = Rng::stream(resolve_seed_, base_ordinal + i);
-        fits.clear();
-        collect_fits(req.key, req.allowed_clobbers, &fits);
-        auto pit = planned_by_key.find(req.key);
-        std::size_t persistent_fits = fits.size();
-        std::size_t planned_in_bank = 0;
-        if (pit != planned_by_key.end()) {
-          planned_in_bank = pit->second.size();
-          for (std::size_t pidx : pit->second)
-            if (planned[pidx].g.extra_clobbers.minus(req.allowed_clobbers)
-                    .empty())
-              fits.push_back(nullptr);  // placeholder; index mapped below
-        }
-        auto pick_planned = [&](std::size_t nth) -> std::size_t {
-          // nth index among the *fitting* planned gadgets of this key.
-          std::size_t seen = 0;
-          for (std::size_t pidx : pit->second) {
-            if (!planned[pidx].g.extra_clobbers.minus(req.allowed_clobbers)
-                     .empty())
-              continue;
-            if (seen++ == nth) return pidx;
-          }
-          assert(false && "planned fit index out of range");
-          return 0;
-        };
-        auto plan_new = [&]() {
-          Planned p;
-          p.ordinal = i;
-          p.key = req.key;
-          p.g = make_body(req.core, req.jop, req.jop_target,
-                          req.allowed_clobbers, rng, &p.bytes);
-          slots[i] = {static_cast<std::int32_t>(s),
-                      static_cast<std::uint32_t>(planned.size())};
-          planned_by_key[req.key].push_back(planned.size());
-          planned.push_back(std::move(p));
-        };
-        auto take_fit = [&](std::size_t k) {
-          if (k < persistent_fits) {
-            addrs[i] = fits[k]->addr;
-            slots[i].shard = -1;
-          } else {
-            slots[i] = {static_cast<std::int32_t>(s),
-                        static_cast<std::uint32_t>(
-                            pick_planned(k - persistent_fits))};
-          }
-        };
-        if (req.jop) {
-          // JOP: first fit, never diversify.
-          if (!fits.empty())
-            take_fit(0);
-          else
-            plan_new();
-          continue;
-        }
-        // Diversification policy: keep growing variants up to the
-        // budget, then pick uniformly among the fits (multiple
-        // equivalent gadgets serving one purpose at different program
-        // points, §I).
-        bool may_grow = static_cast<int>(bank_size(req.key) +
-                                         planned_in_bank) < max_variants_;
-        if (fits.empty() || (may_grow && rng.chance(1, 3)))
-          plan_new();
-        else
-          take_fit(static_cast<std::size_t>(rng.below(fits.size())));
+  pool.parallel_for(static_cast<std::size_t>(nshards), [&](std::size_t s) {
+    std::vector<Planned>& planned = shard_planned[s];
+    std::unordered_map<std::string, std::vector<std::size_t>> planned_by_key;
+    std::vector<const Gadget*> fits;
+    for (std::size_t i : shard_reqs[s]) {
+      const GadgetRequest& req = *reqs[i];
+      Rng rng = Rng::stream(resolve_seed_, base_ordinal + i);
+      fits.clear();
+      collect_fits(req.key, req.allowed_clobbers, &fits);
+      auto pit = planned_by_key.find(req.key);
+      std::size_t persistent_fits = fits.size();
+      std::size_t planned_in_bank = 0;
+      if (pit != planned_by_key.end()) {
+        planned_in_bank = pit->second.size();
+        for (std::size_t pidx : pit->second)
+          if (planned[pidx].g.extra_clobbers.minus(req.allowed_clobbers)
+                  .empty())
+            fits.push_back(nullptr);  // placeholder; index mapped below
       }
-    });
-  }
+      auto pick_planned = [&](std::size_t nth) -> std::size_t {
+        // nth index among the *fitting* planned gadgets of this key.
+        std::size_t seen = 0;
+        for (std::size_t pidx : pit->second) {
+          if (!planned[pidx].g.extra_clobbers.minus(req.allowed_clobbers)
+                   .empty())
+            continue;
+          if (seen++ == nth) return pidx;
+        }
+        assert(false && "planned fit index out of range");
+        return 0;
+      };
+      auto plan_new = [&]() {
+        Planned p;
+        p.ordinal = i;
+        p.key = req.key;
+        p.g = make_body(req.core, req.jop, req.jop_target,
+                        req.allowed_clobbers, rng, &p.bytes);
+        slots[i] = {static_cast<std::int32_t>(s),
+                    static_cast<std::uint32_t>(planned.size())};
+        planned_by_key[req.key].push_back(planned.size());
+        planned.push_back(std::move(p));
+      };
+      auto take_fit = [&](std::size_t k) {
+        if (k < persistent_fits) {
+          addrs[i] = fits[k]->addr;
+          slots[i].shard = -1;
+        } else {
+          slots[i] = {static_cast<std::int32_t>(s),
+                      static_cast<std::uint32_t>(
+                          pick_planned(k - persistent_fits))};
+        }
+      };
+      if (req.jop) {
+        // JOP: first fit, never diversify.
+        if (!fits.empty())
+          take_fit(0);
+        else
+          plan_new();
+        continue;
+      }
+      // Diversification policy: keep growing variants up to the
+      // budget, then pick uniformly among the fits (multiple
+      // equivalent gadgets serving one purpose at different program
+      // points, §I).
+      bool may_grow = static_cast<int>(bank_size(req.key) +
+                                       planned_in_bank) < max_variants_;
+      if (fits.empty() || (may_grow && rng.chance(1, 3)))
+        plan_new();
+      else
+        take_fit(static_cast<std::size_t>(rng.below(fits.size())));
+    }
+  });
 
   for (const auto& sp : shard_planned) plan.impl_->planned_total += sp.size();
   return plan;
@@ -352,7 +347,7 @@ std::vector<std::uint64_t> GadgetPool::commit_plan(ResolvedPlan&& plan) {
               return a->ordinal < b->ordinal;
             });
   for (Planned* pl : order) {
-    pl->g.addr = img_->append(section_, pl->bytes);
+    pl->g.addr = img_->append(kGadgetSection, pl->bytes);
     register_owned(pl->g, pl->key);
   }
   for (std::size_t i = 0; i < p.addrs.size(); ++i) {

@@ -88,7 +88,7 @@ struct HarvestCodec {
 // whole batches through plan_batch() + commit_plan(): requests are
 // sharded by core key and planned in parallel, then merged in global
 // request order, so new-gadget addresses are assigned deterministically
-// no matter how many threads crafted or how many shards resolved.
+// no matter how wide the pools that crafted and resolved them were.
 struct GadgetRequest {
   std::vector<isa::Insn> core;
   bool jop = false;
@@ -127,10 +127,9 @@ class ResolvedPlan {
 
 class GadgetPool {
  public:
-  // New gadgets are synthesized into `section` of the image (defaults to
-  // .text: dead code in the executable segment, like the paper).
-  GadgetPool(Image* img, std::uint64_t seed, int max_variants = 4,
-             std::string section = ".text");
+  // New gadgets are synthesized into the image's .text: dead code in
+  // the executable segment, like the paper.
+  GadgetPool(Image* img, std::uint64_t seed, int max_variants = 4);
 
   // Appends a ret-terminated gadget executing exactly `core` -- no junk,
   // no random draw -- and registers it in the overlay; returns its
@@ -159,19 +158,17 @@ class GadgetPool {
                                             Rng& rng) const;
 
   // Commit-phase resolution of a deferred-request batch, as two
-  // pipeline stages (DESIGN.md §9). Requests are partitioned by
-  // core-key hash into `shards` groups; same-key requests always share
-  // a shard, so variant-bank growth is shard-local and the plan phase
-  // parallelises across `threads` without synchronization. Every random
-  // decision draws from a counter-based per-request stream, and planned
-  // gadgets are appended to the image in global request order at merge,
-  // so the resolved addresses -- and therefore the committed image --
-  // are bit-identical for every (shards, threads) combination,
-  // including the serial reference (1, 1). May reuse a gadget
-  // synthesized for an earlier request in this or any previous batch
-  // (cross-function reuse: Table III's B << A). The plan phase runs on
-  // `pool` when given (the service's shared workers; `threads` is then
-  // ignored), else on a private `threads`-wide pool.
+  // pipeline stages (DESIGN.md §9). The plan phase runs on `pool` and
+  // partitions the requests by core-key hash into one shard per worker
+  // (max(1, pool.thread_count())); same-key requests always share a
+  // shard, so variant-bank growth is shard-local and shards plan in
+  // parallel without synchronization. Every random decision draws from
+  // a counter-based per-request stream, and planned gadgets are
+  // appended to the image in global request order at merge, so the
+  // resolved addresses -- and therefore the committed image -- are
+  // bit-identical at every pool width, including the inline (serial)
+  // pool. May reuse a gadget synthesized for an earlier request in this
+  // or any previous batch (cross-function reuse: Table III's B << A).
   //
   // plan_batch is the parallel half: it freezes the catalog (idempotent
   // when the engine already froze it for craft), plans every request
@@ -183,7 +180,7 @@ class GadgetPool {
   // per-request address table. Exactly one commit_plan must follow each
   // plan_batch (on the same pool, in plan order).
   ResolvedPlan plan_batch(std::span<const GadgetRequest* const> reqs,
-                          int shards, int threads, ThreadPool* pool = nullptr);
+                          ThreadPool& pool);
   std::vector<std::uint64_t> commit_plan(ResolvedPlan&& plan);
 
   // -- Disk tier for plans (DESIGN.md §13) -----------------------------
@@ -193,13 +190,13 @@ class GadgetPool {
   // and each request's key/clobbers/termination. Equal plan keys mean
   // plan_batch produces bit-identical ResolvedPlans, so a plan spilled
   // to the artifact store (Kind::kResolvedPlan) by one process replays
-  // in another. Shard and thread counts are deliberately absent: the
-  // plan content is bit-identical across them.
+  // in another. The pool width is deliberately absent: the plan content
+  // is bit-identical across widths.
   std::uint64_t plan_key(std::span<const GadgetRequest* const> reqs) const;
   // Canonical (shard-independent) encoding of a plan: per-request slots
   // plus the planned gadgets in global request order, so the payload of
-  // a plan is a pure function of plan_key's inputs no matter how many
-  // shards planned it.
+  // a plan is a pure function of plan_key's inputs no matter how wide
+  // the pool that planned it.
   static std::vector<std::uint8_t> serialize_plan(const ResolvedPlan& plan);
   // Rebuilds a ResolvedPlan from a spilled payload, reproducing the pool
   // side effects of the plan_batch it replaces (catalog freeze +
@@ -257,7 +254,6 @@ class GadgetPool {
   std::uint64_t next_request_ordinal_ = 0;
   int max_variants_;
   bool frozen_ = false;
-  std::string section_;
   std::vector<std::shared_ptr<const HarvestLayer>> bases_;
   std::deque<Gadget> owned_;         // synthesized; stable references
   std::unordered_map<std::string, std::vector<const Gadget*>> by_core_;

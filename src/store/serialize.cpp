@@ -205,9 +205,10 @@ void put_module(ArtifactStore& st, std::uint64_t key, const Image& img,
   st.put(Kind::kModule, key, w.take());
 }
 
-std::optional<ModuleRecord> get_module(ArtifactStore& st, std::uint64_t key) {
+std::optional<ModuleRecord> get_module(ArtifactStore& st, std::uint64_t key,
+                                       bool* evicted) {
   std::optional<std::vector<std::uint8_t>> payload =
-      st.get(Kind::kModule, key);
+      st.get(Kind::kModule, key, evicted);
   if (!payload) return std::nullopt;
   try {
     binio::Reader r(*payload);
@@ -234,7 +235,8 @@ std::optional<ModuleRecord> get_module(ArtifactStore& st, std::uint64_t key) {
     if (!r.at_end()) throw binio::Error("module record: trailing bytes");
     return rec;
   } catch (const binio::Error&) {
-    st.evict(Kind::kModule, key);
+    bool removed = st.evict(Kind::kModule, key);
+    if (evicted) *evicted = removed;
     return std::nullopt;
   }
 }

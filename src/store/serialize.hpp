@@ -58,11 +58,13 @@ struct ModuleRecord {
 
 // Store round-trip helpers: put_module spills synchronously-queued like
 // any record; get_module returns nullopt on miss or corruption (the
-// store evicts the record; parse failures evict here).
+// store evicts the record; parse failures evict here). `evicted`, when
+// given, is set to whether this call evicted the record.
 void put_module(ArtifactStore& st, std::uint64_t key, const Image& img,
                 std::span<const rop::RewriteResult> results,
                 std::uint64_t program_points,
                 std::span<const std::uint64_t> gadget_addrs);
-std::optional<ModuleRecord> get_module(ArtifactStore& st, std::uint64_t key);
+std::optional<ModuleRecord> get_module(ArtifactStore& st, std::uint64_t key,
+                                       bool* evicted = nullptr);
 
 }  // namespace raindrop::store

@@ -304,8 +304,9 @@ bool ArtifactStore::indexed(Kind kind, std::uint64_t key) {
 }
 
 std::optional<std::vector<std::uint8_t>> ArtifactStore::get(
-    Kind kind, std::uint64_t key) {
+    Kind kind, std::uint64_t key, bool* corrupt) {
   Shelf& s = shelf(kind);
+  if (corrupt) *corrupt = false;
   Loc loc;
   Segment* seg = nullptr;
   {
@@ -341,6 +342,7 @@ std::optional<std::vector<std::uint8_t>> ArtifactStore::get(
     std::lock_guard<std::mutex> lk(stats_mu_);
     ++stats_.misses;
     ++stats_.corrupt_evictions;
+    if (corrupt) *corrupt = true;
     return std::nullopt;
   }
   // LRU clock for the retention prune: the first hit in a segment

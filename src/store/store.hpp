@@ -98,7 +98,9 @@ class ArtifactStore {
   // Reads the record (kind, key). Returns the payload on a clean hit;
   // nullopt on a miss OR on a short read / digest mismatch (the corrupt
   // record leaves the index and is counted -- the caller recomputes).
-  std::optional<std::vector<std::uint8_t>> get(Kind kind, std::uint64_t key);
+  // `corrupt`, when given, is set to whether this call evicted.
+  std::optional<std::vector<std::uint8_t>> get(Kind kind, std::uint64_t key,
+                                               bool* corrupt = nullptr);
 
   // Appends the record (kind, key) -> payload to this instance's
   // segment. Asynchronous when the spiller is running; a key already in

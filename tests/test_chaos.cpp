@@ -75,7 +75,7 @@ const Reference& reference() {
                                     std::make_shared<analysis::AnalysisCache>());
       r.results.emplace_back();
       for (const auto& names : r.jobs.back())
-        r.results.back().push_back(eng.obfuscate_module(names, 1, 1));
+        r.results.back().push_back(eng.obfuscate_module(names, 1));
     }
     return r;
   }();

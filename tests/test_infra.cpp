@@ -608,10 +608,11 @@ gadgets::GadgetRequest request(std::vector<isa::Insn> core,
 
 std::vector<std::uint64_t> resolve(
     gadgets::GadgetPool& pool,
-    const std::vector<gadgets::GadgetRequest>& reqs, int shards = 1) {
+    const std::vector<gadgets::GadgetRequest>& reqs, int width = 1) {
   std::vector<const gadgets::GadgetRequest*> ptrs;
   for (const auto& r : reqs) ptrs.push_back(&r);
-  return pool.commit_plan(pool.plan_batch(ptrs, shards, /*threads=*/1));
+  ThreadPool workers(width);
+  return pool.commit_plan(pool.plan_batch(ptrs, workers));
 }
 
 TEST(GadgetPool, SynthesizesAndReuses) {
@@ -654,11 +655,12 @@ TEST(GadgetPool, JunkRespectsClobberSet) {
     }
   }
 
-  // Sharding is invisible in the output: 3 shards resolve every request
-  // to the same address and append the same bytes as 1.
+  // Sharding is invisible in the output: a 3-wide pool plans on 3
+  // shards, and resolves every request to the same address and appends
+  // the same bytes as the inline pool's single shard.
   Image img3;
   gadgets::GadgetPool pool3(&img3, 2, 8);
-  EXPECT_EQ(resolve(pool3, reqs, /*shards=*/3), addrs);
+  EXPECT_EQ(resolve(pool3, reqs, /*width=*/3), addrs);
   EXPECT_EQ(img3.section_bytes(".text"), img.section_bytes(".text"));
 }
 

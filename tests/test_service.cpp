@@ -1,7 +1,7 @@
 // ObfuscationService tests: the streaming front door must move
 // wall-clock, never bytes. A module streamed through the
 // craft/resolve/materialize pipeline -- concurrently with other
-// sessions, at any thread/shard combination, against the shared
+// sessions, at any pool width, against the shared
 // analysis cache -- must be byte-identical to standalone
 // obfuscate_module() runs with the same batches and seed; per-session
 // results arrive in submission order; shutdown with jobs in flight
@@ -69,14 +69,13 @@ struct StandaloneRun {
 
 StandaloneRun run_standalone(const workload::Corpus& cp,
                              const std::vector<std::vector<std::string>>& jobs,
-                             std::uint64_t seed, int threads = 1,
-                             int shards = 0) {
+                             std::uint64_t seed, int threads = 1) {
   StandaloneRun out;
   out.img = minic::compile(cp.module);
   engine::ObfuscationEngine eng(&out.img, full_cfg(seed),
                                 std::make_shared<analysis::AnalysisCache>());
   for (const auto& names : jobs)
-    out.results.push_back(eng.obfuscate_module(names, threads, shards));
+    out.results.push_back(eng.obfuscate_module(names, threads));
   return out;
 }
 
@@ -153,29 +152,26 @@ TEST(ServiceStreaming, ThreeConcurrentSessionsAreByteIdentical) {
   EXPECT_GT(st.commit_busy_seconds, 0.0);
 }
 
-TEST(ServiceStreaming, ThreadShardSweepMatchesSerialReference) {
-  // The streamed output must reproduce the serial (1 thread, 1 shard)
-  // standalone reference bit for bit at every (craft_threads, shards)
-  // service configuration.
+TEST(ServiceStreaming, PoolWidthSweepMatchesSerialReference) {
+  // The streamed output must reproduce the serial (inline pool)
+  // standalone reference bit for bit at every shared-pool width; phase
+  // 2a plans one shard per worker of that pool.
   auto cp = workload::make_corpus(9, 60);
   auto jobs = split_batches(cp.functions, 2);
-  StandaloneRun ref = run_standalone(cp, jobs, 42, 1, 1);
+  StandaloneRun ref = run_standalone(cp, jobs, 42);
 
-  for (int threads : {1, 2, 4}) {
-    for (int shards : {1, 3}) {
-      engine::ServiceConfig sc;
-      sc.craft_threads = threads;
-      sc.commit_shards = shards;
-      sc.cache = std::make_shared<analysis::AnalysisCache>();
-      engine::ObfuscationService service(sc);
-      Image img = minic::compile(cp.module);
-      auto session = service.open_session(&img, full_cfg(42));
-      std::vector<engine::JobHandle> hs;
-      for (const auto& names : jobs) hs.push_back(session->submit(names));
-      for (std::size_t b = 0; b < hs.size(); ++b)
-        expect_same_results(hs[b].wait(), ref.results[b], "sweep job");
-      expect_same_image(img, ref.img, "sweep module");
-    }
+  for (int width : {1, 2, 3, 4}) {
+    engine::ServiceConfig sc;
+    sc.craft_threads = width;
+    sc.cache = std::make_shared<analysis::AnalysisCache>();
+    engine::ObfuscationService service(sc);
+    Image img = minic::compile(cp.module);
+    auto session = service.open_session(&img, full_cfg(42));
+    std::vector<engine::JobHandle> hs;
+    for (const auto& names : jobs) hs.push_back(session->submit(names));
+    for (std::size_t b = 0; b < hs.size(); ++b)
+      expect_same_results(hs[b].wait(), ref.results[b], "sweep job");
+    expect_same_image(img, ref.img, "sweep module");
   }
 }
 
@@ -245,10 +241,10 @@ TEST(ServiceStreaming, ShutdownWithJobsInFlightCompletesEveryHandle) {
 
 TEST(ServiceStreaming, PipelineSweepMatchesSerialReference) {
   // The §9 acceptance sweep: streamed output must reproduce the serial
-  // (1 thread, 1 shard) standalone reference bit for bit at every
-  // (threads, shards, sessions, craft bound) combination -- queues move
-  // wall-clock, never bytes. Two concurrent sessions over distinct
-  // modules, three jobs each, submitted interleaved.
+  // (inline pool) standalone reference bit for bit at every (pool width,
+  // sessions, craft bound) combination -- queues move wall-clock, never
+  // bytes. Two concurrent sessions over distinct modules, three jobs
+  // each, submitted interleaved.
   const std::uint64_t corpus_seeds[] = {17, 19};
   std::vector<workload::Corpus> corpora;
   std::vector<std::vector<std::vector<std::string>>> jobs;
@@ -256,41 +252,37 @@ TEST(ServiceStreaming, PipelineSweepMatchesSerialReference) {
   for (std::uint64_t cs : corpus_seeds) {
     corpora.push_back(workload::make_corpus(cs, 40));
     jobs.push_back(split_batches(corpora.back().functions, 3));
-    refs.push_back(run_standalone(corpora.back(), jobs.back(), 200 + cs, 1, 1));
+    refs.push_back(run_standalone(corpora.back(), jobs.back(), 200 + cs));
   }
 
   for (std::size_t craft_depth : {std::size_t{2}, std::size_t{0}}) {
-    for (int threads : {1, 2}) {
-      for (int shards : {1, 3}) {
-        engine::ServiceConfig sc;
-        sc.craft_threads = threads;
-        sc.commit_shards = shards;
-        sc.craft_queue_depth = craft_depth;
-        sc.cache = std::make_shared<analysis::AnalysisCache>();
-        engine::ObfuscationService service(sc);
-        std::vector<Image> imgs(corpora.size());
-        std::vector<std::shared_ptr<engine::Session>> sessions;
-        for (std::size_t m = 0; m < corpora.size(); ++m) {
-          imgs[m] = minic::compile(corpora[m].module);
-          sessions.push_back(service.open_session(
-              &imgs[m], full_cfg(200 + corpus_seeds[m])));
-        }
-        std::vector<std::vector<engine::JobHandle>> hs(corpora.size());
-        for (std::size_t b = 0; b < 3; ++b)
-          for (std::size_t m = 0; m < corpora.size(); ++m)
-            hs[m].push_back(sessions[m]->submit(jobs[m][b]));
-        for (std::size_t m = 0; m < corpora.size(); ++m) {
-          for (std::size_t b = 0; b < 3; ++b)
-            expect_same_results(hs[m][b].wait(), refs[m].results[b],
-                                "pipeline sweep job");
-          expect_same_image(imgs[m], refs[m].img, "pipeline sweep module");
-        }
-        auto st = service.stats();
-        EXPECT_EQ(st.jobs_completed, 6u)
-            << "depth=" << craft_depth << " threads=" << threads
-            << " shards=" << shards;
-        EXPECT_EQ(st.jobs_cancelled + st.jobs_rejected, 0u);
+    for (int width : {1, 2, 3}) {
+      engine::ServiceConfig sc;
+      sc.craft_threads = width;
+      sc.craft_queue_depth = craft_depth;
+      sc.cache = std::make_shared<analysis::AnalysisCache>();
+      engine::ObfuscationService service(sc);
+      std::vector<Image> imgs(corpora.size());
+      std::vector<std::shared_ptr<engine::Session>> sessions;
+      for (std::size_t m = 0; m < corpora.size(); ++m) {
+        imgs[m] = minic::compile(corpora[m].module);
+        sessions.push_back(service.open_session(
+            &imgs[m], full_cfg(200 + corpus_seeds[m])));
       }
+      std::vector<std::vector<engine::JobHandle>> hs(corpora.size());
+      for (std::size_t b = 0; b < 3; ++b)
+        for (std::size_t m = 0; m < corpora.size(); ++m)
+          hs[m].push_back(sessions[m]->submit(jobs[m][b]));
+      for (std::size_t m = 0; m < corpora.size(); ++m) {
+        for (std::size_t b = 0; b < 3; ++b)
+          expect_same_results(hs[m][b].wait(), refs[m].results[b],
+                              "pipeline sweep job");
+        expect_same_image(imgs[m], refs[m].img, "pipeline sweep module");
+      }
+      auto st = service.stats();
+      EXPECT_EQ(st.jobs_completed, 6u)
+          << "depth=" << craft_depth << " width=" << width;
+      EXPECT_EQ(st.jobs_cancelled + st.jobs_rejected, 0u);
     }
   }
 }

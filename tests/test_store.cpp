@@ -33,6 +33,7 @@
 #include "store/store.hpp"
 #include "support/binio.hpp"
 #include "support/faultpoint.hpp"
+#include "support/thread_pool.hpp"
 #include "workload/corpus.hpp"
 
 namespace raindrop {
@@ -761,7 +762,8 @@ TEST(ArtifactStoreTest, ResolvedPlanRecordRoundTripReplaysAcrossPools) {
   const std::uint64_t key = pool_a.plan_key(flat);
   EXPECT_EQ(key, pool_b.plan_key(flat));
 
-  gadgets::ResolvedPlan plan = pool_a.plan_batch(flat, 3, 2);
+  ThreadPool workers(3);
+  gadgets::ResolvedPlan plan = pool_a.plan_batch(flat, workers);
   std::vector<std::uint8_t> payload = GadgetPool::serialize_plan(plan);
 
   // A truncated payload is rejected WITHOUT touching pool state: no
@@ -790,6 +792,40 @@ TEST(ArtifactStoreTest, ResolvedPlanRecordRoundTripReplaysAcrossPools) {
   EXPECT_EQ(addrs_a, addrs_b);
   EXPECT_EQ(pool_a.fingerprint(), pool_b.fingerprint());
   EXPECT_EQ(img_a.section_bytes(".text"), img_b.section_bytes(".text"));
+}
+
+TEST(ArtifactStoreTest, PlanPayloadIsIdenticalAtEveryPoolWidth) {
+  // plan_key leaves the pool width out, so the plan record's payload
+  // must not depend on it: one batch of real craft requests, planned on
+  // pools of width 1, 2, 3 and 8 (as many core-key shards), serializes
+  // to the same bytes every time.
+  auto cp = workload::make_corpus(5, 40);
+  Image craft_img = minic::compile(cp.module);
+  engine::ObfuscationEngine eng(&craft_img, store_cfg(7),
+                                std::make_shared<AnalysisCache>());
+  engine::CraftedModule cm = eng.craft_module(cp.functions, 1);
+  std::vector<const gadgets::GadgetRequest*> flat;
+  for (const engine::CraftedFunction& cf : cm.crafted)
+    if (cf.ok)
+      for (const gadgets::GadgetRequest& req : cf.art->requests)
+        flat.push_back(&req);
+  ASSERT_GT(flat.size(), 100u);
+
+  std::vector<std::uint8_t> ref;
+  for (int width : {1, 2, 3, 8}) {
+    Image img = minic::compile(cp.module);
+    gadgets::GadgetPool pool(&img, 99);
+    ThreadPool workers(width);
+    gadgets::ResolvedPlan plan = pool.plan_batch(flat, workers);
+    std::vector<std::uint8_t> payload =
+        gadgets::GadgetPool::serialize_plan(plan);
+    if (width == 1) {
+      EXPECT_GT(plan.planned_count(), 0u);
+      ref = std::move(payload);
+    } else {
+      EXPECT_EQ(payload, ref) << "pool width " << width;
+    }
+  }
 }
 
 TEST(ArtifactStoreTest, ResolvedPlanWarmRestartReplaysPhase2aFromDisk) {
@@ -825,13 +861,16 @@ TEST(ArtifactStoreTest, ResolvedPlanWarmRestartReplaysPhase2aFromDisk) {
   EXPECT_DOUBLE_EQ(disk->stats().hit_rate(), 1.0);
 }
 
-TEST(ArtifactStoreTest, RejectedAnalysisRecordsReachModuleResult) {
-  // An analysis record whose container digest is fine but whose payload
-  // does not parse is evicted and rebuilt, and -- like the memo and plan
-  // kinds -- counted in ModuleResult::store_corrupt_evictions.
+// An analysis record whose container digest is fine but whose payload
+// does not parse is evicted and rebuilt, and -- like the memo and plan
+// kinds -- counted exactly once in ModuleResult::store_corrupt_evictions.
+// `record_tier_only` = false runs a virgin engine, which also probes and
+// spills the whole-module record around the same per-record lookups.
+void expect_rejected_analysis_records_counted_once(bool record_tier_only,
+                                                   const char* dirname) {
   auto cp = workload::make_corpus(13, 30);
   StoreRun ref = run_corpus(cp, std::make_shared<AnalysisCache>());
-  fs::path dir = fresh_dir("store_analysis_reject");
+  fs::path dir = fresh_dir(dirname);
   {
     auto cache = std::make_shared<AnalysisCache>();
     cache->attach_store(std::make_shared<ArtifactStore>(dir.string()));
@@ -852,10 +891,55 @@ TEST(ArtifactStoreTest, RejectedAnalysisRecordsReachModuleResult) {
   auto cache = std::make_shared<AnalysisCache>();
   auto disk = std::make_shared<ArtifactStore>(dir.string());
   cache->attach_store(disk);
-  StoreRun b = run_corpus(cp, cache, /*record_tier_only=*/true);
+  StoreRun b = run_corpus(cp, cache, record_tier_only);
   expect_same_image(ref.img, b.img, "rebuilt after rejected records");
   EXPECT_EQ(disk->stats().corrupt_evictions, replaced);
   EXPECT_EQ(b.mod.store_corrupt_evictions, replaced);
+}
+
+TEST(ArtifactStoreTest, RejectedAnalysisRecordsReachModuleResult) {
+  expect_rejected_analysis_records_counted_once(/*record_tier_only=*/true,
+                                                "store_analysis_reject");
+}
+
+TEST(ArtifactStoreTest, RejectedAnalysisRecordsCountOnceOnVirginEngine) {
+  expect_rejected_analysis_records_counted_once(
+      /*record_tier_only=*/false, "store_analysis_reject_virgin");
+}
+
+TEST(ArtifactStoreTest, RejectedModuleRecordCountsItsOwnEviction) {
+  // A virgin engine whose module record fails the store's digest check,
+  // or passes it but does not parse, rebuilds the module byte-identically
+  // from the per-record tier and reports that one eviction.
+  auto cp = workload::make_corpus(13, 30);
+  StoreRun ref = run_corpus(cp, std::make_shared<AnalysisCache>());
+  fs::path dir = fresh_dir("store_module_reject");
+  auto pass = [&] {
+    auto cache = std::make_shared<AnalysisCache>();
+    cache->attach_store(std::make_shared<ArtifactStore>(dir.string()));
+    return run_corpus(cp, cache);
+  };
+  pass();  // spills every record kind, the module record included
+
+  // The engine's first store read is its harvest layer; the second is
+  // the module record.
+  fault::arm("store.read.corrupt", fault::Spec::every_nth(2, /*cap=*/1));
+  StoreRun rotted = pass();
+  fault::disarm_all();
+  EXPECT_GT(rotted.mod.store_hits, 1u) << "the module record was served";
+  EXPECT_EQ(rotted.mod.store_corrupt_evictions, 1u);
+  expect_same_image(ref.img, rotted.img, "rebuilt after a rotted record");
+
+  {
+    ArtifactStore st(dir.string(), /*async_spill=*/false);
+    const std::uint64_t key = records_of(dir, Kind::kModule).back().key;
+    st.evict(Kind::kModule, key);
+    st.put(Kind::kModule, key, sample_payload(40));
+  }
+  StoreRun garbled = pass();
+  EXPECT_GT(garbled.mod.store_hits, 1u) << "the module record was served";
+  EXPECT_EQ(garbled.mod.store_corrupt_evictions, 1u);
+  expect_same_image(ref.img, garbled.img, "rebuilt after a garbled record");
 }
 
 // -- Codec properties over every kind the two-tier lookup serves --------
